@@ -95,11 +95,11 @@ func main() {
 	}
 
 	regressions := 0
-	// The reserve-wait columns track the fetch-and-add reservation win (the
-	// log-lsn refactor) across runs, the abort-path columns track ELR-for-
-	// aborts coverage, and the writes-per-cycle / window columns track the
-	// log tail's flush efficiency (the vectored-write and adaptive group-
-	// commit work); all are informational, never a gate — except that a
+	// The reserve-wait columns track the fetch-and-add reservation's cost
+	// across runs, the abort-path columns track ELR-for-aborts coverage, and
+	// the writes-per-cycle / window columns track the log tail's flush
+	// efficiency (the vectored write and the group-commit window
+	// controller); all are informational, never a gate — except that a
 	// non-zero undo-failure count is a correctness alarm, and a substantial
 	// writes-per-cycle increase means the vectored flush path stopped
 	// batching; both get warning annotations of their own.

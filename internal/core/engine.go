@@ -50,24 +50,18 @@ type Config struct {
 	IODelay time.Duration
 	// LogFlushDelay simulates the latency of forcing the log at commit.
 	LogFlushDelay time.Duration
-	// GroupCommitWindow batches concurrent commits (see wal.Config). Under
-	// AdaptiveGroupCommit it is only the controller's starting point.
+	// GroupCommitWindow, GroupCommitMin and GroupCommitMax configure the
+	// WAL's single group-commit window controller (see wal.Config). The
+	// flusher tunes the window between GroupCommitMin and GroupCommitMax
+	// from observed commit arrival and durable lag. GroupCommitMax == 0
+	// makes both bounds equal GroupCommitWindow: the window is fixed, and a
+	// zero window means no pause at all. GroupCommitMax > 0 turns the
+	// tuning on, with GroupCommitWindow as the starting point and a zero
+	// GroupCommitMin defaulting to 10µs; a tuned window also wakes early
+	// once the pending commit set is satisfiable.
 	GroupCommitWindow time.Duration
-	// AdaptiveGroupCommit turns the fixed group-commit window into a
-	// self-tuning one: the WAL flusher grows and shrinks the window between
-	// GroupCommitMin and GroupCommitMax from observed commit arrival and
-	// durable lag, and wakes early once the pending subscription set is
-	// satisfiable (see wal.Config.AdaptiveGroupCommit).
-	AdaptiveGroupCommit bool
-	// GroupCommitMin and GroupCommitMax bound the adaptive window; zero
-	// values default to 10µs and 2ms. Ignored unless AdaptiveGroupCommit.
-	GroupCommitMin time.Duration
-	GroupCommitMax time.Duration
-	// StrictFence selects the in-order publish fence in the WAL buffer (each
-	// appender spins until every earlier byte is published) instead of the
-	// default completion-tracking publish. It exists as the baseline arm of
-	// the log-tail ablation; leave it off otherwise.
-	StrictFence bool
+	GroupCommitMin    time.Duration
+	GroupCommitMax    time.Duration
 	// EarlyLockRelease makes a committing transaction release its locks (and
 	// perform SLI inheritance) as soon as its commit record is appended to
 	// the log, instead of holding them across the group-commit fsync. Lock
@@ -108,16 +102,6 @@ type Config struct {
 	// DropLogAfterFlush discards flushed log records instead of retaining
 	// them in memory; enable for long benchmark runs.
 	DropLogAfterFlush bool
-	// MutexLog selects the legacy centralized WAL append path (one mutex per
-	// Append, per-record encode at flush) instead of the consolidated
-	// reserve/fill/publish log buffer. It exists as the baseline arm of the
-	// log-buffer ablation; leave it off otherwise.
-	MutexLog bool
-	// LatchedLog keeps the consolidated log buffer but reserves under a
-	// short mutex (the PR-3 protocol) instead of the lock-free fetch-and-add
-	// on the virtual head. It exists as the baseline arm of the log-lsn
-	// ablation; leave it off otherwise. Ignored under MutexLog.
-	LatchedLog bool
 	// LogBufferBytes sizes the consolidated log buffer; zero uses the WAL
 	// default (4 MiB).
 	LogBufferBytes int64
@@ -323,20 +307,16 @@ func newEngine(cfg Config, durable []*wal.Segments, startLSNs []wal.LSN) *Engine
 			startLSN = startLSNs[s]
 		}
 		e.logs[s] = wal.New(wal.Config{
-			FlushDelay:          cfg.LogFlushDelay,
-			GroupCommitWindow:   cfg.GroupCommitWindow,
-			AdaptiveGroupCommit: cfg.AdaptiveGroupCommit,
-			GroupCommitMin:      cfg.GroupCommitMin,
-			GroupCommitMax:      cfg.GroupCommitMax,
-			StrictFence:         cfg.StrictFence,
-			DropAfterFlush:      dropAfterFlush,
-			Durable:             sink,
-			StartLSN:            startLSN,
-			MutexLog:            cfg.MutexLog,
-			LatchedLog:          cfg.LatchedLog,
-			BufferBytes:         cfg.LogBufferBytes,
-			AutoSizeBuffer:      cfg.AutoSizeLogBuffer,
-			BufferMaxBytes:      cfg.LogBufferMaxBytes,
+			FlushDelay:        cfg.LogFlushDelay,
+			GroupCommitWindow: cfg.GroupCommitWindow,
+			GroupCommitMin:    cfg.GroupCommitMin,
+			GroupCommitMax:    cfg.GroupCommitMax,
+			DropAfterFlush:    dropAfterFlush,
+			Durable:           sink,
+			StartLSN:          startLSN,
+			BufferBytes:       cfg.LogBufferBytes,
+			AutoSizeBuffer:    cfg.AutoSizeLogBuffer,
+			BufferMaxBytes:    cfg.LogBufferMaxBytes,
 		})
 	}
 	e.log = e.logs[0]

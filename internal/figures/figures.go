@@ -69,23 +69,12 @@ type Options struct {
 	// that ELR removes from the lock hold time visible on in-memory engines.
 	GroupCommitWindow time.Duration
 	LogFlushDelay     time.Duration
-	// MutexLog selects the legacy centralized WAL append path instead of the
-	// consolidated reserve/fill/publish log buffer (the baseline arm of the
-	// log-buffer ablation). LatchedLog keeps the consolidated buffer but
-	// reserves under the PR-3 latch instead of the fetch-and-add (the
-	// baseline arm of the log-lsn ablation).
-	MutexLog   bool
-	LatchedLog bool
-	// AdaptiveGroupCommit replaces the fixed group-commit window with the
-	// self-tuning controller, bounded by GroupCommitMin/GroupCommitMax
-	// (engine defaults apply when zero). StrictFence keeps the in-order
-	// spin publish fence instead of the relaxed completion-tracking fence
-	// (the baseline arm of the log-tail ablation). PreallocateSegments
+	// GroupCommitMin and GroupCommitMax bound the group-commit window
+	// controller; GroupCommitMax > 0 turns it on, zero keeps
+	// GroupCommitWindow fixed (see core.Config). PreallocateSegments
 	// preallocates durable segment files at creation (see core.Config).
-	AdaptiveGroupCommit bool
 	GroupCommitMin      time.Duration
 	GroupCommitMax      time.Duration
-	StrictFence         bool
 	PreallocateSegments bool
 	// LogShards splits the write-ahead log into that many independent
 	// virtual logs (see core.Config.LogShards); 0 or 1 keeps the single
@@ -302,12 +291,8 @@ func (o Options) buildEngine(key string, sli bool, agents int) (*core.Engine, wo
 		AsyncCommit:            o.AsyncCommit,
 		GroupCommitWindow:      o.GroupCommitWindow,
 		LogFlushDelay:          o.LogFlushDelay,
-		MutexLog:               o.MutexLog,
-		LatchedLog:             o.LatchedLog,
-		AdaptiveGroupCommit:    o.AdaptiveGroupCommit,
 		GroupCommitMin:         o.GroupCommitMin,
 		GroupCommitMax:         o.GroupCommitMax,
-		StrictFence:            o.StrictFence,
 		PreallocateSegments:    o.PreallocateSegments,
 		LogShards:              o.LogShards,
 		AutoSizeLogBuffer:      o.AutoSizeLogBuffer,

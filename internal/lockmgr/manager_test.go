@@ -416,43 +416,51 @@ func TestHotDetection(t *testing.T) {
 }
 
 func TestHotDetectionFromRealContention(t *testing.T) {
-	// Hammer a single table lock from many goroutines; the contention window
-	// should eventually mark it hot without any manual help.
+	// Real latch contention, made deterministic: the test holds the lock
+	// head's latch while the goroutines queue on it, so each of their
+	// acquisitions finds the latch held. The contention window then reads
+	// fully contended and must mark the lock hot without any manual help.
+	// The goroutines keep their locks until the check, so the head (and its
+	// window) stays in the lock table.
 	m := newTestManager(false)
 	tbl := TableLock(1, 88)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+	const goroutines = 8
+	for round := 0; round < 10; round++ {
+		h := m.table.findOrCreate(tbl)
+		h.latch.Lock()
+		before := h.latch.Stats().Contended.Load()
+		var acquired, wg sync.WaitGroup
+		acquired.Add(goroutines)
+		release := make(chan struct{})
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				o := m.NewOwner(nil, nil)
-				if err := o.Lock(tbl, IS); err != nil {
+				err := o.Lock(tbl, IS)
+				acquired.Done()
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				<-release
 				o.ReleaseAll()
-			}
-		}()
-	}
-	deadline := time.After(5 * time.Second)
-	for !m.IsHot(tbl) {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			t.Skip("no latch contention observed on this machine; hot detection not exercised")
-		case <-time.After(5 * time.Millisecond):
+			}()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for h.latch.Stats().Contended.Load()-before < goroutines && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		h.latch.Unlock()
+		acquired.Wait()
+		hot := m.IsHot(tbl)
+		close(release)
+		wg.Wait()
+		if hot {
+			return
 		}
 	}
-	close(stop)
-	wg.Wait()
+	t.Fatal("table lock never turned hot although its latch acquisitions were contended")
 }
 
 // TestConcurrentRandomWorkloadInvariant runs many goroutines acquiring

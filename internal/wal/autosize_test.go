@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -25,73 +24,68 @@ func (s *slowSink) Sync() error {
 // appended record survives byte-identically across the swaps, and that the
 // growth is visible in TailStats.
 func TestAutoSizeBufferGrows(t *testing.T) {
-	for _, latched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("latched=%v", latched), func(t *testing.T) {
-			sink := &slowSink{delay: 2 * time.Millisecond}
-			l := New(Config{
-				Durable:        sink,
-				DropAfterFlush: true,
-				BufferBytes:    minLogBufferBytes,
-				AutoSizeBuffer: true,
-				BufferMaxBytes: 64 << 10,
-				LatchedLog:     latched,
-			})
-			const (
-				appenders = 4
-				perApp    = 400
-			)
-			payload := bytes.Repeat([]byte{0xAB}, 64)
-			var wg sync.WaitGroup
-			for g := 0; g < appenders; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perApp; i++ {
-						rec := Record{
-							XID:   uint64(g)<<32 | uint64(i),
-							Type:  RecUpdate,
-							Table: uint32(g),
-							Page:  uint64(i),
-							After: payload,
-						}
-						if _, err := l.Append(rec); err != nil {
-							t.Errorf("append g=%d i=%d: %v", g, i, err)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			if err := l.Flush(l.LastLSN()); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			ts := l.TailStats()
-			if err := l.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			if ts.BufferGrows == 0 {
-				t.Fatalf("expected at least one auto-size grow (buffer-full wait %v, buffer %d bytes)",
-					ts.BufferFullWait, ts.BufferBytes)
-			}
-			if ts.BufferBytes <= minLogBufferBytes || ts.BufferBytes > 64<<10 {
-				t.Fatalf("grown buffer size %d out of range (%d, %d]", ts.BufferBytes, minLogBufferBytes, 64<<10)
-			}
-			if ts.BufferBytes&(ts.BufferBytes-1) != 0 {
-				t.Fatalf("grown buffer size %d not a power of two", ts.BufferBytes)
-			}
-			if ts.BufferFullWait == 0 {
-				t.Fatalf("buffer-full wait signal never accumulated despite %d grows", ts.BufferGrows)
-			}
-			recs := decodeAll(t, sink.bytes(), 1)
-			if len(recs) != appenders*perApp {
-				t.Fatalf("decoded %d records, want %d", len(recs), appenders*perApp)
-			}
-			for _, rec := range recs {
-				if !bytes.Equal(rec.After, payload) {
-					t.Fatalf("record %d/%d: payload corrupted across ring growth", rec.XID, rec.LSN)
+	sink := &slowSink{delay: 2 * time.Millisecond}
+	l := New(Config{
+		Durable:        sink,
+		DropAfterFlush: true,
+		BufferBytes:    minLogBufferBytes,
+		AutoSizeBuffer: true,
+		BufferMaxBytes: 64 << 10,
+	})
+	const (
+		appenders = 4
+		perApp    = 400
+	)
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	var wg sync.WaitGroup
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perApp; i++ {
+				rec := Record{
+					XID:   uint64(g)<<32 | uint64(i),
+					Type:  RecUpdate,
+					Table: uint32(g),
+					Page:  uint64(i),
+					After: payload,
+				}
+				if _, err := l.Append(rec); err != nil {
+					t.Errorf("append g=%d i=%d: %v", g, i, err)
+					return
 				}
 			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if err := l.Flush(l.LastLSN()); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	ts := l.TailStats()
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if ts.BufferGrows == 0 {
+		t.Fatalf("expected at least one auto-size grow (buffer-full wait %v, buffer %d bytes)",
+			ts.BufferFullWait, ts.BufferBytes)
+	}
+	if ts.BufferBytes <= minLogBufferBytes || ts.BufferBytes > 64<<10 {
+		t.Fatalf("grown buffer size %d out of range (%d, %d]", ts.BufferBytes, minLogBufferBytes, 64<<10)
+	}
+	if ts.BufferBytes&(ts.BufferBytes-1) != 0 {
+		t.Fatalf("grown buffer size %d not a power of two", ts.BufferBytes)
+	}
+	if ts.BufferFullWait == 0 {
+		t.Fatalf("buffer-full wait signal never accumulated despite %d grows", ts.BufferGrows)
+	}
+	recs := decodeAll(t, sink.bytes(), 1)
+	if len(recs) != appenders*perApp {
+		t.Fatalf("decoded %d records, want %d", len(recs), appenders*perApp)
+	}
+	for _, rec := range recs {
+		if !bytes.Equal(rec.After, payload) {
+			t.Fatalf("record %d/%d: payload corrupted across ring growth", rec.XID, rec.LSN)
+		}
 	}
 }
 

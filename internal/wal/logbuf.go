@@ -8,19 +8,15 @@ package wal
 //  1. reserves — a single compare-and-swap on the virtual head claims the
 //     record's byte range; the range's start offset is the record's LSN.
 //     No latch, no critical section: the fetch-and-add is the whole
-//     reservation (Config.LatchedLog keeps the PR-3 protocol — the same
-//     arithmetic under a short mutex — as the ablation baseline);
+//     reservation;
 //  2. fills   — encodes the record directly into its claimed range, with no
 //     lock held, concurrently with every other appender;
-//  3. publishes — makes its range consumable by the flusher. The default is
-//     completion tracking (Aether's hybrid idea applied to the fence): a
-//     filler that finishes out of order deposits its completed range in a
-//     small pending set and returns immediately; whichever filler (or
-//     successor) holds the watermark merges every contiguous completion
-//     forward. A preempted filler therefore delays only the watermark, never
-//     another publisher. Config.StrictFence keeps the PR-3 in-order
-//     compare-and-swap fence — each filler spins until every earlier byte is
-//     published — as the ablation baseline (-ablation log-tail).
+//  3. publishes — makes its range consumable by the flusher, by completion
+//     tracking (Aether's hybrid idea applied to the fence): a filler that
+//     finishes out of order deposits its completed range in a small pending
+//     set and returns immediately; whichever filler (or successor) holds the
+//     watermark merges every contiguous completion forward. A preempted
+//     filler therefore delays only the watermark, never another publisher.
 //
 // The ring never splits a frame across its physical end: a reservation whose
 // frame would wrap claims the leftover tail bytes too and fills them with
@@ -35,7 +31,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,9 +53,7 @@ const minLogBufferBytes = 4 << 10
 // separately from useful log work.
 type AppendWaits struct {
 	// Reserve is the serialization cost of the reservation protocol: CAS
-	// retries on the virtual head plus the in-order publish fence (or, under
-	// LatchedLog/MutexLog, the time spent entering the reservation mutex).
-	// This is the contention the fetch-and-add reservation exists to remove.
+	// retries on the virtual head plus the publish fence.
 	Reserve time.Duration
 	// BufferFull is the time spent waiting for the flusher to drain the
 	// buffer because the reservation did not fit. It indicates an undersized
@@ -89,15 +82,12 @@ type flushRange struct {
 // monotonically increasing virtual offsets (phys = off % size). head is the
 // next offset to reserve, published the fence below which every fill has
 // completed, tail the oldest offset whose space is still in use. Reservers
-// synchronize only through head (and published, for the in-order fence);
-// the mutex exists for buffer-full waits, close, and the LatchedLog
-// ablation arm. The flusher is the single consumer.
+// synchronize only through head (and pubMu, when publishing); the mutex
+// exists for buffer-full waits and close. The flusher is the single consumer.
 type logBuffer struct {
-	size    int64
-	buf     []byte
-	base    int64 // virtual offset mapped to buf[0]; moves only when the ring is regrown
-	latched bool  // ablation: reserve under mu instead of a head CAS
-	strict  bool  // ablation: in-order spin-CAS publish fence instead of completion tracking
+	size int64
+	buf  []byte
+	base int64 // virtual offset mapped to buf[0]; moves only when the ring is regrown
 
 	// Auto-sizing (Config.AutoSizeBuffer): the flusher may replace the ring
 	// with a larger one, but only at a drained instant with no claim in
@@ -127,10 +117,10 @@ type logBuffer struct {
 	reserveNanos atomic.Int64 // cumulative timed reserve wait (profiled appends only)
 	fullNanos    atomic.Int64 // cumulative buffer-full wait, timed unconditionally (auto-size signal)
 
-	// pubMu guards the relaxed fence's completion tracking: pubPending maps a
-	// completed-but-unmergeable range's claim offset to its end. Under the
-	// relaxed fence every store to published happens with pubMu held (loads
-	// stay lock-free), so "published == claim" is an exact handoff test.
+	// pubMu guards the fence's completion tracking: pubPending maps a
+	// completed-but-unmergeable range's claim offset to its end. Every store
+	// to published happens with pubMu held (loads stay lock-free), so
+	// "published == claim" is an exact handoff test.
 	pubMu      sync.Mutex
 	pubPending map[int64]int64
 
@@ -142,14 +132,14 @@ type logBuffer struct {
 // newLogBuffer builds the ring. maxSize > size enables auto-sizing: the
 // flusher may grow the ring (power of two, capped at maxSize) when reservers
 // spend a threshold fraction of a flush cycle blocked on a full buffer.
-func newLogBuffer(size, maxSize int64, start LSN, latched, strict bool) *logBuffer {
+func newLogBuffer(size, maxSize int64, start LSN) *logBuffer {
 	if size <= 0 {
 		size = DefaultLogBufferBytes
 	}
 	if size < minLogBufferBytes {
 		size = minLogBufferBytes
 	}
-	lb := &logBuffer{size: size, buf: make([]byte, size), latched: latched, strict: strict}
+	lb := &logBuffer{size: size, buf: make([]byte, size)}
 	if maxSize > size {
 		lb.resizable = true
 		lb.maxSize = maxSize
@@ -186,8 +176,8 @@ func (lb *logBuffer) padFor(head, n int64) int64 {
 
 // fits reports whether a frame of n bytes can be claimed at the given head
 // right now, and the padding the claim must include. It is the single
-// statement of the ring's admission rule, shared by the fetch-and-add arm,
-// the latched arm, and the full-buffer wait.
+// statement of the ring's admission rule, shared by the reservation and the
+// full-buffer wait.
 func (lb *logBuffer) fits(head, n int64) (pad int64, ok bool) {
 	pad = lb.padFor(head, n)
 	return pad, head+pad+n-lb.tail.Load() <= lb.size
@@ -201,8 +191,8 @@ func (lb *logBuffer) loadErr() error {
 }
 
 // reserve claims rec's byte range; the returned reservation's off is the
-// record's LSN. The default path is lock-free: one compare-and-swap on the
-// virtual head both assigns the LSN and allocates the buffer space, because
+// record's LSN. The path is lock-free: one compare-and-swap on the virtual
+// head both assigns the LSN and allocates the buffer space, because
 // they are the same number. When the claim does not fit, the reserver counts
 // itself as a full-waiter, kicks the flusher (so draining happens even
 // before any durability subscription exists) and waits for released space.
@@ -222,13 +212,7 @@ func (lb *logBuffer) reserve(rec Record, kick func(), timed bool) (reservation, 
 	if timed {
 		start = time.Now()
 	}
-	var res reservation
-	var err error
-	if lb.latched {
-		res, err = lb.reserveLatched(n, kick, timed, &w)
-	} else {
-		res, err = lb.reserveAtomic(n, kick, timed, &w)
-	}
+	res, err := lb.reserveAtomic(n, kick, timed, &w)
 	if timed && err == nil {
 		w.Reserve = time.Since(start) - w.BufferFull
 		lb.reserveNanos.Add(int64(w.Reserve))
@@ -323,7 +307,7 @@ func (lb *logBuffer) waitResize(kick func(), timed bool, w *AppendWaits) error {
 }
 
 // tryGrow swaps in a ring of newSize bytes, but only at a fully drained
-// instant: no claim in flight (active == 0, latched claims included) and
+// instant: no claim in flight (active == 0) and
 // every published byte consumed and released (head == published == tail).
 // Flusher only, and only after resizeWanted has been set so new reservers
 // stand aside. Returns whether the swap happened; the caller retries on the
@@ -374,35 +358,16 @@ func (lb *logBuffer) padOut(s reservation) {
 	}
 }
 
-// publish makes the filled claim [claim, end) consumable. Under the strict
-// fence it is the in-order CAS: spin until every earlier byte is published.
-// Under the relaxed (default) fence it never waits on other fillers: the
-// watermark holder merges forward through every contiguous completion already
-// deposited, and anyone else deposits its range and leaves — a preempted
-// filler stalls the watermark (the flusher simply sees fewer bytes this
-// cycle) but no longer stalls later publishers. The returned duration is the
-// time spent blocked; the cumulative total feeds the fence-wait stat.
+// publish makes the filled claim [claim, end) consumable. It never waits on
+// other fillers: the watermark holder merges forward through every
+// contiguous completion already deposited, and anyone else deposits its
+// range and leaves — a preempted filler stalls the watermark (the flusher
+// simply sees fewer bytes this cycle) but never stalls later publishers. The
+// returned duration is the time spent in the merge section; the cumulative
+// total feeds the fence-wait stat.
 //
 //slint:hotpath
 func (lb *logBuffer) publish(claim, end int64, timed bool) time.Duration {
-	if lb.strict {
-		if lb.published.CompareAndSwap(claim, end) {
-			return 0
-		}
-		// Already off the fast path (a predecessor is mid-fill), so the spin
-		// is timed unconditionally: the strict arm's fence-wait total stays
-		// meaningful even in unprofiled runs.
-		fenceStart := time.Now()
-		for !lb.published.CompareAndSwap(claim, end) {
-			runtime.Gosched()
-		}
-		d := time.Since(fenceStart)
-		lb.fenceNanos.Add(int64(d))
-		if timed {
-			return d
-		}
-		return 0
-	}
 	var fenceStart time.Time
 	if timed {
 		fenceStart = time.Now()
@@ -431,73 +396,6 @@ func (lb *logBuffer) publish(claim, end int64, timed bool) time.Duration {
 	return 0
 }
 
-// reserveLatched is the PR-3 reservation protocol kept as the log-lsn
-// ablation baseline: the same offset arithmetic, but serialized on a short
-// mutex. Everything downstream (fill, publish fence, consume) is shared, so
-// the ablation isolates exactly the reservation protocol.
-func (lb *logBuffer) reserveLatched(n int64, kick func(), timed bool, w *AppendWaits) (reservation, error) {
-	lb.mu.Lock()
-	for {
-		if lb.err != nil {
-			err := lb.err
-			lb.mu.Unlock()
-			return reservation{}, err
-		}
-		if lb.resizable && lb.resizeWanted.Load() {
-			// Stand aside for a ring swap (claims under mu would keep the
-			// ring permanently non-drained under a steady append load). Count
-			// as a full-waiter and kick so the flusher keeps cycling until
-			// the swap lands.
-			lb.fullWaiters.Add(1)
-			lb.mu.Unlock()
-			kick()
-			lb.mu.Lock()
-			if lb.err == nil && lb.resizeWanted.Load() {
-				start := time.Now()
-				lb.notFull.Wait()
-				d := time.Since(start)
-				lb.fullNanos.Add(int64(d))
-				if timed {
-					w.BufferFull += d
-				}
-			}
-			lb.fullWaiters.Add(-1)
-			continue
-		}
-		head := lb.head.Load()
-		if pad, ok := lb.fits(head, n); ok {
-			lb.head.Store(head + pad + n)
-			if lb.resizable {
-				// Claimed under mu, so tryGrow (also under mu) either runs
-				// before this claim or sees the increment; released by fill.
-				lb.active.Add(1)
-			}
-			lb.mu.Unlock()
-			return reservation{off: head + pad, pad: pad, n: n}, nil
-		}
-		// Full. Wake the flusher without holding the latch, then wait for
-		// released space; the re-check under the lock avoids losing a
-		// broadcast that landed between kick and re-lock.
-		lb.fullWaiters.Add(1)
-		lb.mu.Unlock()
-		kick()
-		lb.mu.Lock()
-		if _, ok := lb.fits(lb.head.Load(), n); lb.err == nil && !ok {
-			// Timed unconditionally: the wait path already slept, and the
-			// cumulative total is the auto-sizing signal even in unprofiled
-			// runs.
-			fullStart := time.Now()
-			lb.notFull.Wait()
-			d := time.Since(fullStart)
-			lb.fullNanos.Add(int64(d))
-			if timed {
-				w.BufferFull += d
-			}
-		}
-		lb.fullWaiters.Add(-1)
-	}
-}
-
 // waitForSpace blocks until a frame of n bytes could fit (space may be
 // re-taken by a faster reserver before the caller's CAS — the caller just
 // retries) or the buffer wedges. The full-waiter count is raised before the
@@ -515,8 +413,8 @@ func (lb *logBuffer) waitForSpace(n int64, kick func(), timed bool, w *AppendWai
 		if _, ok := lb.fits(lb.head.Load(), n); ok {
 			return nil
 		}
-		// Timed unconditionally (see reserveLatched): this total is the
-		// auto-sizing grow signal.
+		// Timed unconditionally, even for unprofiled appends: this total is
+		// the auto-sizing grow signal.
 		fullStart := time.Now()
 		lb.notFull.Wait()
 		d := time.Since(fullStart)
@@ -529,7 +427,7 @@ func (lb *logBuffer) waitForSpace(n int64, kick func(), timed bool, w *AppendWai
 
 // fill writes the reservation's bytes — zeroing any wraparound padding, then
 // encoding the record at its offset — entirely outside any latch, and then
-// publishes the claim (see publish for the strict/relaxed fence semantics).
+// publishes the claim (see publish for the fence semantics).
 // The returned duration is the time spent blocked publishing (zero when
 // untimed or uncontended).
 //

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -142,58 +141,54 @@ func verifyStream(t *testing.T, data []byte, want map[LSN]Record) {
 // the stream handed to the sink must decode to exactly the records appended,
 // each at the byte offset its Append returned.
 func TestConsolidatedConcurrentAppendsRoundTrip(t *testing.T) {
-	for _, latched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("latched=%v", latched), func(t *testing.T) {
-			sink := &captureSink{}
-			l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10, LatchedLog: latched})
-			const (
-				appenders  = 8
-				perAppend  = 200
-				totalRecs  = appenders * perAppend
-				maxPayload = 200
-			)
-			var mu sync.Mutex
-			want := make(map[LSN]Record, totalRecs)
-			var wg sync.WaitGroup
-			for g := 0; g < appenders; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perAppend; i++ {
-						rec := Record{
-							XID:   uint64(g + 1),
-							Type:  RecUpdate,
-							Table: uint32(g),
-							Page:  uint64(i),
-							Slot:  uint32(i % 7),
-							After: bytes.Repeat([]byte{byte(g)}, 1+(g*31+i*17)%maxPayload),
-						}
-						lsn, err := l.Append(rec)
-						if err != nil {
-							t.Errorf("append: %v", err)
-							return
-						}
-						rec.LSN = lsn
-						mu.Lock()
-						want[lsn] = rec
-						mu.Unlock()
-						// Subscribe occasionally so flushing interleaves with appends.
-						if i%32 == 0 {
-							//slint:ignore errwedge the subscription only interleaves flushing with appends; the ack is irrelevant
-							l.FlushAsync(lsn)
-						}
-					}
-				}(g)
+	sink := &captureSink{}
+	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10})
+	const (
+		appenders  = 8
+		perAppend  = 200
+		totalRecs  = appenders * perAppend
+		maxPayload = 200
+	)
+	var mu sync.Mutex
+	want := make(map[LSN]Record, totalRecs)
+	var wg sync.WaitGroup
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perAppend; i++ {
+				rec := Record{
+					XID:   uint64(g + 1),
+					Type:  RecUpdate,
+					Table: uint32(g),
+					Page:  uint64(i),
+					Slot:  uint32(i % 7),
+					After: bytes.Repeat([]byte{byte(g)}, 1+(g*31+i*17)%maxPayload),
+				}
+				lsn, err := l.Append(rec)
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				rec.LSN = lsn
+				mu.Lock()
+				want[lsn] = rec
+				mu.Unlock()
+				// Subscribe occasionally so flushing interleaves with appends.
+				if i%32 == 0 {
+					//slint:ignore errwedge the subscription only interleaves flushing with appends; the ack is irrelevant
+					l.FlushAsync(lsn)
+				}
 			}
-			wg.Wait()
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			verifyStream(t, sink.bytes(), want)
-			if got, wantEnd := l.DurableLSN(), l.LastLSN(); got != wantEnd {
-				t.Fatalf("DurableLSN = %d, want the drained end %d", got, wantEnd)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	verifyStream(t, sink.bytes(), want)
+	if got, wantEnd := l.DurableLSN(), l.LastLSN(); got != wantEnd {
+		t.Fatalf("DurableLSN = %d, want the drained end %d", got, wantEnd)
 	}
 }
 
@@ -269,69 +264,96 @@ func TestConsolidatedMatchesPerRecordSink(t *testing.T) {
 	}
 }
 
-// TestMutexLogModeMatchesConsolidated pins the ablation baselines: the
-// legacy mutex-per-append path and the PR-3 latched reservation must both
-// produce the same on-disk byte stream as the fetch-and-add buffer. (The
-// buffer is large enough that no wraparound padding occurs; the mutex path,
-// having no ring, never pads.)
-func TestMutexLogModeMatchesConsolidated(t *testing.T) {
-	legacy := &captureSink{}
-	latched := &captureSink{}
-	cons := &captureSink{}
-	ll := New(Config{Durable: legacy, DropAfterFlush: true, MutexLog: true})
-	lt := New(Config{Durable: latched, DropAfterFlush: true, LatchedLog: true})
-	lc := New(Config{Durable: cons, DropAfterFlush: true})
-	for i := 0; i < 100; i++ {
-		rec := Record{XID: 9, Type: RecInsert, Table: 1, Page: uint64(i), After: []byte("payload")}
-		for _, l := range []*Log{ll, lt, lc} {
-			if _, err := l.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, l := range []*Log{ll, lt, lc} {
-		if err := l.Close(); err != nil {
+// checkSequentialModel appends recs from one goroutine to a fresh log with
+// a bufBytes ring and checks the result against the sequential model of the
+// buffer's address assignment: each frame starts where the previous one
+// ended, unless it would cross the ring's physical end, in which case the
+// leftover tail becomes zero padding and the frame starts the ring's next
+// lap. Every LSN must equal the model's (and the value Append returned), and
+// after Close the sink's stream must be exactly the model's bytes — the
+// records' encodings at their LSNs, zeros only at lap boundaries — and
+// decode back to recs in append order.
+func checkSequentialModel(t *testing.T, bufBytes int64, recs []Record) {
+	t.Helper()
+	sink := &captureSink{}
+	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: bufBytes})
+	ring := l.TailStats().BufferBytes // the configured size after clamping
+	next := l.LastLSN()
+	var want bytes.Buffer
+	lsns := make([]LSN, len(recs))
+	for i, rec := range recs {
+		lsn, err := l.Append(rec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		n := int64(rec.EncodedSize())
+		phys := next.Distance(0) % ring
+		var pad int64
+		if phys+n > ring {
+			pad = ring - phys
+		}
+		if lsn != next.Advance(pad) {
+			t.Fatalf("record %d: LSN %d, model says %d (previous frame end %d, %d padding bytes)", i, lsn, next.Advance(pad), next, pad)
+		}
+		want.Write(make([]byte, pad))
+		want.Write(rec.Encode())
+		lsns[i] = lsn
+		next = lsn.Advance(n)
 	}
-	if legacy.ranges != 0 {
-		t.Fatal("MutexLog mode must not use the range fast path")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(legacy.bytes(), cons.bytes()) {
-		t.Fatal("MutexLog byte stream differs from fetch-and-add byte stream")
+	if !bytes.Equal(sink.bytes(), want.Bytes()) {
+		t.Fatalf("sink stream (%d bytes) differs from the sequential model (%d bytes)", len(sink.bytes()), want.Len())
 	}
-	if !bytes.Equal(latched.bytes(), cons.bytes()) {
-		t.Fatal("latched-reservation byte stream differs from fetch-and-add byte stream")
+	got := decodeAll(t, sink.bytes(), 1)
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, appended %d", len(got), len(recs))
+	}
+	for i, rec := range recs {
+		rec.LSN = lsns[i]
+		if len(rec.Before) == 0 {
+			rec.Before = nil // decodeBody normalizes empty images to nil
+		}
+		if len(rec.After) == 0 {
+			rec.After = nil
+		}
+		if !reflect.DeepEqual(got[i], rec) {
+			t.Fatalf("record %d decoded as %+v, appended %+v", i, got[i], rec)
+		}
 	}
 }
 
-// TestLatchedMatchesFetchAndAddAcrossWraparound extends the byte-identity
-// pin to a tiny ring: a deterministic single-threaded append sequence makes
-// identical reservation decisions — including wraparound padding placement —
-// under both protocols, so even the padding bytes must line up.
-func TestLatchedMatchesFetchAndAddAcrossWraparound(t *testing.T) {
-	faa := &captureSink{}
-	lat := &captureSink{}
-	lf := New(Config{Durable: faa, DropAfterFlush: true, BufferBytes: 4 << 10})
-	ll := New(Config{Durable: lat, DropAfterFlush: true, BufferBytes: 4 << 10, LatchedLog: true})
+// TestAppendMatchesSequentialModel pins the single-appender stream against
+// the sequential model, both on a ring large enough that no padding occurs
+// and on a tiny ring that wraps many times (padding placement included).
+func TestAppendMatchesSequentialModel(t *testing.T) {
+	var flat, wrapping []Record
+	for i := 0; i < 100; i++ {
+		flat = append(flat, Record{XID: 9, Type: RecInsert, Table: 1, Page: uint64(i), After: []byte("payload")})
+	}
 	for i := 0; i < 400; i++ {
-		rec := Record{XID: uint64(i), Type: RecUpdate, Table: 3, Page: uint64(i),
-			After: bytes.Repeat([]byte{byte(i)}, (i*37)%257)}
-		if _, err := lf.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ll.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		wrapping = append(wrapping, Record{XID: uint64(i), Type: RecUpdate, Table: 3, Page: uint64(i),
+			After: bytes.Repeat([]byte{byte(i)}, (i*37)%257)})
 	}
-	if err := lf.Close(); err != nil {
-		t.Fatal(err)
+	checkSequentialModel(t, 0, flat)
+	checkSequentialModel(t, 4<<10, wrapping)
+}
+
+// TestAppendAllocatesNothing backs the //slint:hotpath claims on
+// reserveAtomic, fill and publish at runtime: on the default configuration a
+// single-goroutine Append and AppendTimed allocate nothing per record. The
+// runs stay far below the buffer size, so no flush cycle runs meanwhile.
+func TestAppendAllocatesNothing(t *testing.T) {
+	l := New(Config{DropAfterFlush: true})
+	defer l.Close()
+	rec := Record{XID: 1, Type: RecUpdate, Table: 2, Page: 3, Slot: 4, Before: []byte("before"), After: []byte("after")}
+	var err error
+	if n := testing.AllocsPerRun(1000, func() { _, err = l.Append(rec) }); n != 0 || err != nil {
+		t.Fatalf("Append: %v allocations per call (err %v), want 0", n, err)
 	}
-	if err := ll.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(faa.bytes(), lat.bytes()) {
-		t.Fatal("fetch-and-add and latched reservation produced different byte streams")
+	if n := testing.AllocsPerRun(1000, func() { _, _, err = l.AppendTimed(rec) }); n != 0 || err != nil {
+		t.Fatalf("AppendTimed: %v allocations per call (err %v), want 0", n, err)
 	}
 }
 
@@ -341,34 +363,30 @@ func TestLatchedMatchesFetchAndAddAcrossWraparound(t *testing.T) {
 // which clamp down to it — must acknowledge immediately instead of
 // registering a waiter that no flush cycle ever satisfies.
 func TestFlushAsyncReopenEdge(t *testing.T) {
-	for _, mutexLog := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mutexLog=%v", mutexLog), func(t *testing.T) {
-			l := New(Config{StartLSN: 100, MutexLog: mutexLog})
-			for _, upTo := range []LSN{0, 1, 50, 99, 100, 1000} {
-				select {
-				case err := <-l.FlushAsync(upTo):
-					if err != nil {
-						t.Fatalf("FlushAsync(%d) on reopened empty log: %v", upTo, err)
-					}
-				case <-time.After(2 * time.Second):
-					t.Fatalf("FlushAsync(%d) on reopened empty log never acked (head == StartLSN edge)", upTo)
-				}
-			}
-			// The log still works normally past the recovered prefix.
-			lsn, err := l.Append(Record{XID: 1, Type: RecCommit})
+	l := New(Config{StartLSN: 100})
+	for _, upTo := range []LSN{0, 1, 50, 99, 100, 1000} {
+		select {
+		case err := <-l.FlushAsync(upTo):
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("FlushAsync(%d) on reopened empty log: %v", upTo, err)
 			}
-			if lsn != 100 {
-				t.Fatalf("first LSN after reopen = %d, want 100", lsn)
-			}
-			if err := l.Flush(lsn); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		case <-time.After(2 * time.Second):
+			t.Fatalf("FlushAsync(%d) on reopened empty log never acked (head == StartLSN edge)", upTo)
+		}
+	}
+	// The log still works normally past the recovered prefix.
+	lsn, err := l.Append(Record{XID: 1, Type: RecCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 100 {
+		t.Fatalf("first LSN after reopen = %d, want 100", lsn)
+	}
+	if err := l.Flush(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -461,39 +479,35 @@ func (s *stuckSink) Sync() error { return nil }
 // makes this clean: a waiting reserver holds no claim, so failing it leaves
 // no hole in the publish fence.
 func TestConsolidatedCrashFailsBlockedReservers(t *testing.T) {
-	for _, latched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("latched=%v", latched), func(t *testing.T) {
-			sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
-			defer close(sink.release)
-			l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true, LatchedLog: latched})
-			payload := bytes.Repeat([]byte{1}, 1024)
-			errc := make(chan error, 1)
-			go func() {
-				for i := 0; i < 16; i++ {
-					if _, err := l.Append(Record{XID: 1, Type: RecInsert, After: payload}); err != nil {
-						errc <- err
-						return
-					}
-				}
-				errc <- nil
-			}()
-			// Wait for the flusher to wedge in the sink, then give the appender time
-			// to refill the buffer and block on space that will never be released.
-			select {
-			case <-sink.entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("flusher never reached the sink")
+	sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
+	defer close(sink.release)
+	l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true})
+	payload := bytes.Repeat([]byte{1}, 1024)
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < 16; i++ {
+			if _, err := l.Append(Record{XID: 1, Type: RecInsert, After: payload}); err != nil {
+				errc <- err
+				return
 			}
-			time.Sleep(50 * time.Millisecond)
-			l.Crash()
-			select {
-			case err := <-errc:
-				if !errors.Is(err, ErrCrashed) {
-					t.Fatalf("blocked reserver got %v, want ErrCrashed", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("reserver stayed blocked across Crash")
-			}
-		})
+		}
+		errc <- nil
+	}()
+	// Wait for the flusher to wedge in the sink, then give the appender time
+	// to refill the buffer and block on space that will never be released.
+	select {
+	case <-sink.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher never reached the sink")
+	}
+	time.Sleep(50 * time.Millisecond)
+	l.Crash()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("blocked reserver got %v, want ErrCrashed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reserver stayed blocked across Crash")
 	}
 }

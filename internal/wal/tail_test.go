@@ -332,12 +332,11 @@ func TestAdaptiveWindowShrinksToFloor(t *testing.T) {
 	sink := &captureSink{}
 	min, max := 50*time.Microsecond, 400*time.Microsecond
 	l := New(Config{
-		Durable:             sink,
-		DropAfterFlush:      true,
-		AdaptiveGroupCommit: true,
-		GroupCommitWindow:   time.Millisecond, // clamped into [min, max]
-		GroupCommitMin:      min,
-		GroupCommitMax:      max,
+		Durable:           sink,
+		DropAfterFlush:    true,
+		GroupCommitWindow: time.Millisecond, // clamped into [min, max]
+		GroupCommitMin:    min,
+		GroupCommitMax:    max,
 	})
 	defer l.Close()
 	if w := l.Window(); w != max {
@@ -395,28 +394,5 @@ func TestCloseDrainsWithoutWaitingFullWindow(t *testing.T) {
 	}
 	if err := <-ch; err != nil {
 		t.Fatalf("subscription failed across Close: %v", err)
-	}
-}
-
-// TestStrictFenceStatsAndDelivery sanity-checks the ablation baseline: the
-// strict in-order fence must deliver everything the relaxed fence delivers
-// (the fuzz harness covers the hard interleavings) and its fence-wait stat
-// must be wired.
-func TestStrictFenceStatsAndDelivery(t *testing.T) {
-	sink := &captureSink{}
-	l := New(Config{Durable: sink, DropAfterFlush: true, StrictFence: true})
-	lsns := appendN(t, l, 3, 25)
-	if err := l.Flush(lsns[24]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ts := l.TailStats(); ts.FenceWait < 0 {
-		t.Fatalf("negative fence wait: %v", ts.FenceWait)
-	}
-	recs := decodeAll(t, sink.bytes(), 1)
-	if len(recs) != 25 {
-		t.Fatalf("strict fence delivered %d records, want 25", len(recs))
 	}
 }

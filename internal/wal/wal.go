@@ -418,39 +418,26 @@ type Config struct {
 	// FlushDelay simulates the latency of forcing the log to stable storage
 	// (one per group-commit batch, not per transaction). Zero disables it.
 	FlushDelay time.Duration
-	// GroupCommitWindow is how long the flusher waits to batch commits.
-	// Zero means flush requests are served immediately (still batched with
-	// any concurrent requests). Under AdaptiveGroupCommit it is only the
-	// controller's starting point.
+	// GroupCommitWindow is how long the flusher waits to batch commits
+	// before forcing the log. Zero means flush requests are served
+	// immediately (still batched with any concurrent requests). The window
+	// is one controller tuned between GroupCommitMin and GroupCommitMax
+	// every flush cycle; when GroupCommitMax is zero both bounds equal
+	// GroupCommitWindow, so the window is fixed.
 	GroupCommitWindow time.Duration
-	// AdaptiveGroupCommit replaces the fixed group-commit window with a
-	// controller that retunes it every flush cycle from what the cycle
-	// observed: the window halves when it closed with at most one
-	// subscriber (it only added latency) or when the durable lag has grown
-	// past a quarter of the log buffer (the flusher is behind — flush more,
-	// wait less), and widens by 25% when subscriptions were still arriving
-	// as the window closed (the batch was still widening). The window also
-	// ends early once the pending subscription set is satisfiable — as many
-	// subscribers as a typical recent batch, all of their bytes published —
-	// so a correct window costs no idle tail.
-	AdaptiveGroupCommit bool
-	// GroupCommitMin and GroupCommitMax bound the adaptive window. Zero
-	// values default to 10µs and 2ms. Ignored unless AdaptiveGroupCommit.
+	// GroupCommitMin and GroupCommitMax bound the tuned window.
+	// GroupCommitMax > 0 turns the controller on: the window halves when a
+	// cycle closed with at most one subscriber (it only added latency) or
+	// when the durable lag has grown past a quarter of the log buffer (the
+	// flusher is behind — flush more, wait less), and widens by 25% when
+	// subscriptions were still arriving as the window closed (the batch was
+	// still widening). A tuned window also ends early once the pending
+	// subscription set is satisfiable — as many subscribers as a typical
+	// recent batch, all of their bytes published — so a correct window costs
+	// no idle tail. GroupCommitWindow is then only the starting point,
+	// clamped into the bounds, and a zero GroupCommitMin defaults to 10µs.
 	GroupCommitMin time.Duration
 	GroupCommitMax time.Duration
-	// StrictFence selects the in-order publish fence (each appender spins
-	// until every earlier byte is published) instead of the default
-	// completion-tracking publish, under which a preempted filler delays
-	// only the watermark and never another publisher. It exists as the
-	// baseline arm of the log-tail ablation (cmd/slibench -ablation
-	// log-tail); leave it off otherwise. Ignored under MutexLog.
-	StrictFence bool
-	// Sink, if non-nil, receives the encoded bytes of every record at flush
-	// time (e.g. an os.File). It is a best-effort mirror with no durability
-	// contract: a write error is returned from the Flush that observed it
-	// but does not wedge the log or hold back DurableLSN. The log also
-	// keeps records in memory for recovery and inspection.
-	Sink io.Writer
 	// Durable, if non-nil, receives every flushed record followed by one
 	// Sync per group-commit batch; DurableLSN only advances past records the
 	// sink has accepted and synced. A write or sync error wedges the log:
@@ -462,33 +449,20 @@ type Config struct {
 	// already durable on disk. Zero means start at offset 1 (offset 0 is the
 	// "no LSN" sentinel).
 	StartLSN LSN
-	// KeepInMemory controls whether flushed records are retained in memory
-	// (needed for Records() and recovery tests). Default true.
+	// DropAfterFlush discards flushed records instead of retaining them in
+	// memory for Records() and recovery tests.
 	DropAfterFlush bool
-	// MutexLog selects the legacy centralized append path — every Append
-	// takes the single log mutex and the flusher re-encodes record by
-	// record — instead of the consolidated reserve/fill/publish buffer. It
-	// exists as the baseline arm of the log-buffer ablation
-	// (cmd/slibench -ablation log-buffer); leave it off otherwise.
-	MutexLog bool
-	// LatchedLog keeps the consolidated buffer but performs its reservation
-	// under a short mutex (the PR-3 protocol) instead of the lock-free
-	// fetch-and-add on the virtual head. It exists as the baseline arm of
-	// the log-lsn ablation (cmd/slibench -ablation log-lsn); leave it off
-	// otherwise. Ignored under MutexLog.
-	LatchedLog bool
 	// BufferBytes sizes the consolidated log buffer (default 4 MiB). A
 	// reservation that does not fit blocks until the flusher drains the
 	// buffer, reported as AppendWaits.BufferFull. A single record frame
 	// larger than half the buffer (or than the decoder's 1 MiB frame limit,
 	// which would corrupt the log for every reader) is rejected at Append.
-	// Ignored under MutexLog.
 	BufferBytes int64
 	// AutoSizeBuffer lets the flusher grow the buffer from the buffer-full
 	// wait signal: when reservers spent more than a threshold fraction of a
 	// flush cycle blocked on a full buffer, the ring is doubled (at a
 	// drained instant, so no bytes move), up to BufferMaxBytes. BufferBytes
-	// then only sets the starting size. Ignored under MutexLog.
+	// then only sets the starting size.
 	AutoSizeBuffer bool
 	// BufferMaxBytes caps AutoSizeBuffer growth (default 64 MiB). Ignored
 	// unless AutoSizeBuffer is set.
@@ -529,24 +503,21 @@ type flushWaiter struct {
 }
 
 // Log is the write-ahead log. Appends go through the consolidated
-// reserve/fill/publish buffer (see logbuf.go): the only centralized section
-// on the append path is the O(1) reservation latch, and records are encoded
-// into the shared buffer concurrently. Durability is driven by a single
+// reserve/fill/publish buffer (see logbuf.go): reservation is one
+// fetch-and-add on the virtual head, and records are encoded into the shared
+// buffer concurrently. Durability is driven by a single
 // dedicated flusher goroutine: committers subscribe to their commit LSN with
 // FlushAsync (or block in Flush) and the flusher consumes the contiguous
 // published prefix, performs one physical write+sync per group-commit batch
 // (handing whole byte ranges to a RangeSink), advances the durable-LSN
 // watermark, and acknowledges every satisfied subscription in LSN order.
-// Config.MutexLog restores the legacy single-mutex append path for ablation.
 type Log struct {
 	cfg Config
-	lb  *logBuffer // consolidated buffer; nil under MutexLog
+	lb  *logBuffer // consolidated reserve/fill/publish buffer
 
 	mu            sync.Mutex
 	flushWork     *sync.Cond // signals the flusher goroutine that work arrived
-	records       []Record   // MutexLog-mode append buffer
 	flushed       []Record   // records already flushed (retained unless DropAfterFlush)
-	nextLSN       LSN        // MutexLog mode: next byte offset to assign; the consolidated buffer owns its own
 	flushLSN      LSN        // exclusive end of the durable prefix (first non-durable byte offset)
 	closed        bool
 	flusherActive bool          // the flusher goroutine has been started
@@ -556,11 +527,11 @@ type Log struct {
 	fastRange  bool // cfg.Durable also implements RangeSink
 	fastVector bool // cfg.Durable also implements vectorSink
 
-	// Group-commit window state. window is the live value (fixed, or driven
-	// by the adaptive controller between winMin and winMax); the sum/count
-	// pair averages the time actually waited per windowed cycle; ewmaBatch
-	// is the flusher-private estimate of subscriptions per batch that the
-	// early-wake check compares against.
+	// Group-commit window state. window is the live value, driven by the
+	// controller between winMin and winMax (fixed when they are equal); the
+	// sum/count pair averages the time actually waited per windowed cycle;
+	// ewmaBatch is the flusher-private estimate of subscriptions per batch
+	// that the early-wake check compares against.
 	window         atomic.Int64 // current window in nanoseconds
 	winMin, winMax time.Duration
 	windowNanos    atomic.Int64 // total window time actually waited
@@ -587,45 +558,34 @@ func New(cfg Config) *Log {
 	if start == 0 {
 		start = 1
 	}
-	l := &Log{cfg: cfg, nextLSN: start, flushLSN: start}
+	l := &Log{cfg: cfg, flushLSN: start}
 	l.flushWork = sync.NewCond(&l.mu)
-	if !cfg.MutexLog {
-		var maxBytes int64
-		if cfg.AutoSizeBuffer {
-			maxBytes = cfg.BufferMaxBytes
-			if maxBytes <= 0 {
-				maxBytes = DefaultLogBufferMaxBytes
-			}
+	var maxBytes int64
+	if cfg.AutoSizeBuffer {
+		maxBytes = cfg.BufferMaxBytes
+		if maxBytes <= 0 {
+			maxBytes = DefaultLogBufferMaxBytes
 		}
-		l.lb = newLogBuffer(cfg.BufferBytes, maxBytes, start, cfg.LatchedLog, cfg.StrictFence)
-		l.bufMax = maxBytes
 	}
+	l.lb = newLogBuffer(cfg.BufferBytes, maxBytes, start)
+	l.bufMax = maxBytes
 	if cfg.Durable != nil {
 		_, l.fastRange = cfg.Durable.(RangeSink)
 		_, l.fastVector = cfg.Durable.(vectorSink)
 	}
-	l.winMin, l.winMax = cfg.GroupCommitMin, cfg.GroupCommitMax
-	if cfg.AdaptiveGroupCommit {
+	initial := cfg.GroupCommitWindow
+	l.winMin, l.winMax = initial, initial
+	if cfg.GroupCommitMax > 0 {
+		l.winMin, l.winMax = cfg.GroupCommitMin, cfg.GroupCommitMax
 		if l.winMin <= 0 {
 			l.winMin = 10 * time.Microsecond
 		}
 		if l.winMax < l.winMin {
-			l.winMax = 2 * time.Millisecond
-		}
-		if l.winMax < l.winMin {
 			l.winMax = l.winMin
 		}
-		initial := cfg.GroupCommitWindow
-		if initial < l.winMin {
-			initial = l.winMin
-		}
-		if initial > l.winMax {
-			initial = l.winMax
-		}
-		l.window.Store(int64(initial))
-	} else {
-		l.window.Store(int64(cfg.GroupCommitWindow))
+		initial = min(max(initial, l.winMin), l.winMax)
 	}
+	l.window.Store(int64(initial))
 	return l
 }
 
@@ -646,52 +606,19 @@ func (l *Log) AppendTimed(rec Record) (LSN, AppendWaits, error) {
 }
 
 func (l *Log) append(rec Record, timed bool) (LSN, AppendWaits, error) {
-	if l.lb == nil {
-		return l.appendMutex(rec, timed)
-	}
 	s, w, err := l.lb.reserve(rec, l.kickFlusher, timed)
 	if err != nil {
 		return 0, w, err
 	}
 	fence := l.lb.fill(rec, s, timed)
 	if timed {
-		// The in-order publish fence is serialization cost, like the
-		// reservation itself: attribute it to reserve-wait so the log-lsn
-		// ablation's latched-vs-fetch-and-add comparison captures the whole
-		// ordering overhead of each protocol.
+		// The publish fence is serialization cost, like the reservation
+		// itself: attribute it to reserve-wait so the profile captures the
+		// whole ordering overhead of the append protocol.
 		w.Reserve += fence
 	}
 	l.stats.Appends.Add(1)
 	return LSN(s.off), w, nil
-}
-
-// appendMutex is the legacy centralized append path (Config.MutexLog): one
-// mutex serializes LSN assignment and the copy into the record slice, and
-// encoding happens later, record by record, in the flusher. Offsets advance
-// by each record's encoded size so the byte stream it produces is addressed
-// identically to the consolidated buffer's.
-func (l *Log) appendMutex(rec Record, timed bool) (LSN, AppendWaits, error) {
-	var w AppendWaits
-	var lockStart time.Time
-	if timed {
-		lockStart = time.Now()
-	}
-	l.mu.Lock()
-	if timed {
-		w.Reserve = time.Since(lockStart)
-	}
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, w, ErrClosed
-	}
-	if l.failed != nil {
-		return 0, w, l.failed
-	}
-	rec.LSN = l.nextLSN
-	l.nextLSN = l.nextLSN.Advance(int64(rec.EncodedSize()))
-	l.records = append(l.records, rec)
-	l.stats.Appends.Add(1)
-	return rec.LSN, w, nil
 }
 
 // kickFlusher starts (if necessary) and wakes the flusher goroutine. It is
@@ -704,17 +631,6 @@ func (l *Log) kickFlusher() {
 	}
 	l.flushWork.Signal()
 	l.mu.Unlock()
-}
-
-// endLSNLocked returns the virtual end offset of the log — the LSN the next
-// appended record would receive; every existing record's LSN is strictly
-// below it. Callers must hold l.mu in MutexLog mode; the consolidated
-// buffer's head is read lock-free.
-func (l *Log) endLSNLocked() LSN {
-	if l.lb != nil {
-		return LSN(l.lb.head.Load())
-	}
-	return l.nextLSN
 }
 
 // DurableLSN returns the exclusive end of the durable prefix: every byte of
@@ -733,9 +649,7 @@ func (l *Log) DurableLSN() LSN {
 // LSN the next record would be appended at. Flush(LastLSN()) therefore means
 // "force everything appended so far".
 func (l *Log) LastLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.endLSNLocked()
+	return LSN(l.lb.head.Load())
 }
 
 // Flush makes the record at LSN upTo (and every record below it) durable and
@@ -778,7 +692,7 @@ func (l *Log) FlushAsync(upTo LSN) <-chan error {
 		// to the already-durable watermark and is acknowledged immediately
 		// instead of parking a waiter no flush cycle would satisfy.
 		target := upTo.Next()
-		if end := l.endLSNLocked(); target > end {
+		if end := l.LastLSN(); target > end {
 			target = end
 		}
 		if l.flushLSN >= target {
@@ -829,14 +743,11 @@ func (l *Log) pendingWaitersLocked() (n int, maxTarget LSN) {
 }
 
 // workPendingLocked reports whether the flusher has anything actionable:
-// an unsatisfied durability subscription, or — consolidated mode only —
-// reservers blocked on a full buffer (which must be drained even when no
-// commit has subscribed yet, e.g. a large loading transaction).
+// an unsatisfied durability subscription, or reservers blocked on a full
+// buffer (which must be drained even when no commit has subscribed yet, e.g.
+// a large loading transaction).
 func (l *Log) workPendingLocked() bool {
-	if l.pendingFlushLocked() {
-		return true
-	}
-	return l.lb != nil && l.lb.fullWaiters.Load() > 0
+	return l.pendingFlushLocked() || l.lb.fullWaiters.Load() > 0
 }
 
 // flusherLoop is the dedicated flush daemon: one group-commit cycle per
@@ -854,11 +765,9 @@ func (l *Log) flusherLoop() {
 			l.failWaitersLocked(err)
 			l.flusherActive = false
 			l.mu.Unlock()
-			if l.lb != nil {
-				// Fail reservers blocked on a full buffer too: no one will
-				// ever drain it again.
-				l.lb.close(err)
-			}
+			// Fail reservers blocked on a full buffer too: no one will ever
+			// drain it again.
+			l.lb.close(err)
 			return
 		}
 		if l.closed && !l.workPendingLocked() {
@@ -883,12 +792,8 @@ func (l *Log) flusherLoop() {
 				continue
 			}
 		}
-		flush := l.flushMutexBatch
-		if l.lb != nil {
-			flush = l.flushConsolidated
-		}
 		flushStart := time.Now()
-		progressed, acked := flush()
+		progressed, acked := l.flushConsolidated()
 		if progressed {
 			l.ewmaFlush = 0.75*l.ewmaFlush + 0.25*float64(time.Since(flushStart))
 		}
@@ -897,7 +802,7 @@ func (l *Log) flusherLoop() {
 			// reservation is still being filled (a concurrent memcpy, gone in
 			// microseconds). Yield instead of spinning on the buffer latch.
 			runtime.Gosched()
-		} else if l.cfg.AdaptiveGroupCommit && subscriptionsPending {
+		} else if subscriptionsPending {
 			l.tuneWindow(acked, arrived)
 		}
 		l.maybeGrowBuffer()
@@ -916,7 +821,7 @@ func (l *Log) flusherLoop() {
 // profile.
 func (l *Log) maybeGrowBuffer() {
 	lb := l.lb
-	if lb == nil || !lb.resizable {
+	if !lb.resizable {
 		return
 	}
 	if lb.resizeWanted.Load() {
@@ -955,10 +860,11 @@ func (l *Log) maybeGrowBuffer() {
 // groupCommitPause waits out the group-commit window in short slices so the
 // flusher can wake as soon as waiting longer cannot widen the batch: the log
 // is draining (Close/Crash — no new appends can arrive), reservers are
-// blocked on a full buffer (nothing widens until we drain), or — adaptive
-// mode — the pending subscription set is already satisfiable: every target
-// offset published and a typical recent batch's worth of subscribers
-// waiting. arrived — the controller's grow
+// blocked on a full buffer (nothing widens until we drain), or — tuned
+// windows only — the pending subscription set is already satisfiable: every
+// target offset published and a typical recent batch's worth of subscribers
+// waiting. A fixed window stays open for its whole length otherwise, so it
+// holds every commit that arrives in it. arrived — the controller's grow
 // signal — reports that the window expired at its deadline with the batch
 // still widening in the final slice; crashed reports the log failed.
 func (l *Log) groupCommitPause(window time.Duration) (arrived, crashed bool) {
@@ -1017,10 +923,10 @@ func (l *Log) groupCommitPause(window time.Duration) (arrived, crashed bool) {
 		if crashed {
 			break
 		}
-		if l.draining.Load() || (l.lb != nil && (l.lb.wedged.Load() || l.lb.fullWaiters.Load() > 0)) {
+		if l.draining.Load() || l.lb.wedged.Load() || l.lb.fullWaiters.Load() > 0 {
 			break
 		}
-		if l.cfg.AdaptiveGroupCommit && n >= satisfiable && l.targetsPublished(maxTarget) {
+		if l.winMin < l.winMax && n >= satisfiable && LSN(l.lb.published.Load()) >= maxTarget {
 			// The pending set is satisfiable — every subscriber's bytes are
 			// published and the batch already holds a typical recent cycle's
 			// worth of subscribers — so waiting longer buys latency, not
@@ -1036,36 +942,25 @@ func (l *Log) groupCommitPause(window time.Duration) (arrived, crashed bool) {
 	return arrived, crashed
 }
 
-// targetsPublished reports whether every byte below target is already
-// published (consolidated mode) or buffered (mutex mode) — i.e. a flush
-// starting now would satisfy a subscription with that target.
-func (l *Log) targetsPublished(target LSN) bool {
-	if l.lb != nil {
-		return LSN(l.lb.published.Load()) >= target
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN >= target
-}
-
-// tuneWindow is the adaptive group-commit controller, run once per windowed
-// flush cycle. acked is how many subscriptions the cycle satisfied; arrived
-// reports whether new subscriptions showed up while the window was open.
-// Multiplicative decrease on a wasted window (≤1 subscriber: the window only
-// added latency) or on high durable lag (more than a quarter of the log
-// buffer unflushed: stop waiting, start writing); multiplicative increase
-// while batches are still widening when the window closes.
+// tuneWindow is the group-commit window controller, run once per flush cycle
+// that had subscriptions pending. acked is how many subscriptions the cycle
+// satisfied; arrived reports whether new subscriptions showed up while the
+// window was open. Multiplicative decrease on a wasted window (≤1
+// subscriber: the window only added latency) or on high durable lag (more
+// than a quarter of the log buffer unflushed: stop waiting, start writing);
+// multiplicative increase while batches are still widening when the window
+// closes. A fixed window (winMin == winMax) returns at once.
 func (l *Log) tuneWindow(acked int, arrived bool) {
+	if l.winMin == l.winMax {
+		return
+	}
 	w := time.Duration(l.window.Load())
 	l.ewmaBatch = 0.75*l.ewmaBatch + 0.25*float64(acked)
-	lagHigh := false
-	if l.lb != nil {
-		lag := l.lb.head.Load() - l.lb.published.Load()
-		if pending := l.PendingBytes(); pending > lag {
-			lag = pending
-		}
-		lagHigh = lag > l.lb.size/4
+	lag := l.lb.head.Load() - l.lb.published.Load()
+	if pending := l.PendingBytes(); pending > lag {
+		lag = pending
 	}
+	lagHigh := lag > l.lb.size/4
 	switch {
 	case acked <= 1 || lagHigh:
 		w /= 2
@@ -1094,41 +989,9 @@ func (l *Log) tuneWindow(acked int, arrived bool) {
 	l.window.Store(int64(w))
 }
 
-// flushMutexBatch is one legacy-mode group-commit cycle: snapshot the append
-// buffer, encode and write record by record, sync once. It returns the
-// number of subscriptions the cycle acknowledged.
-func (l *Log) flushMutexBatch() (bool, int) {
-	l.mu.Lock()
-	// Snapshot everything appended so far: the whole group commits together,
-	// including records that arrived during the window.
-	batch := l.records
-	l.records = nil
-	target := l.nextLSN
-	l.mu.Unlock()
-
-	var durableErr, sinkErr error
-	for _, r := range batch {
-		enc := r.Encode()
-		if l.cfg.Durable != nil {
-			if werr := l.cfg.Durable.WriteRecord(r, enc); werr != nil {
-				durableErr = werr
-				break
-			}
-		}
-		if l.cfg.Sink != nil && sinkErr == nil {
-			// The Sink is a best-effort mirror: its failure is reported
-			// but does not affect durability or stop the log.
-			if _, werr := l.cfg.Sink.Write(enc); werr != nil {
-				sinkErr = werr
-			}
-		}
-	}
-	return true, l.finishCycle(batch, len(batch), target, durableErr, sinkErr)
-}
-
-// flushConsolidated is one consolidated-mode group-commit cycle: consume the
-// contiguous published prefix of the log buffer and hand whole byte ranges
-// to the sinks — no per-record re-encode, no per-record write call on the
+// flushConsolidated is one group-commit cycle: consume the contiguous
+// published prefix of the log buffer and hand whole byte ranges to the
+// durable sink — no per-record re-encode, no per-record write call on the
 // RangeSink fast path, and a single vectored submission for the whole cycle
 // when the sink supports it. It returns false when nothing was consumable,
 // plus the number of subscriptions the cycle acknowledged.
@@ -1142,55 +1005,29 @@ func (l *Log) flushConsolidated() (bool, int) {
 		return false, 0
 	}
 
-	// The best-effort Sink mirror trails the durable sink: a chunk only
-	// reaches the mirror once the durable sink accepted it, so after a wedge
-	// the mirror stream never contains records that missed stable storage.
-	var durableErr, sinkErr error
-	mirror := func(data []byte) {
-		if l.cfg.Sink == nil || sinkErr != nil {
-			return
-		}
-		if _, werr := l.cfg.Sink.Write(data); werr != nil {
-			sinkErr = werr
-		}
-	}
+	var durableErr error
 	switch {
 	case l.cfg.Durable != nil && l.fastVector:
 		// The vectored fast path: the whole cycle — every contiguous range —
 		// in one submission, so the sink pays one write syscall per group
 		// commit instead of one per range.
-		if werr := l.cfg.Durable.(vectorSink).WriteRanges(ranges); werr != nil {
-			durableErr = werr
-		} else {
-			for _, r := range ranges {
-				mirror(r.data)
-			}
-		}
+		durableErr = l.cfg.Durable.(vectorSink).WriteRanges(ranges)
 	case l.cfg.Durable != nil && l.fastRange:
 		rs := l.cfg.Durable.(RangeSink)
 		for _, r := range ranges {
-			if werr := rs.WriteRange(r.data, r.first); werr != nil {
-				durableErr = werr
+			if durableErr = rs.WriteRange(r.data, r.first); durableErr != nil {
 				break
 			}
-			mirror(r.data)
 		}
 	case l.cfg.Durable != nil:
 		// Compatibility path for DurableSinks that only take records:
-		// re-encode each one, exactly like the legacy flusher. Each record
-		// carries its byte-offset LSN, so a positioning sink (Segments) can
-		// restore any wraparound padding the per-record stream elides.
+		// re-encode each one. Each record carries its byte-offset LSN, so a
+		// positioning sink (Segments) can restore any wraparound padding the
+		// per-record stream elides.
 		for _, rec := range recs {
-			enc := rec.Encode()
-			if werr := l.cfg.Durable.WriteRecord(rec, enc); werr != nil {
-				durableErr = werr
+			if durableErr = l.cfg.Durable.WriteRecord(rec, rec.Encode()); durableErr != nil {
 				break
 			}
-			mirror(enc)
-		}
-	default:
-		for _, r := range ranges {
-			mirror(r.data)
 		}
 	}
 	// The physical writes above are the last readers of the consumed bytes
@@ -1198,15 +1035,15 @@ func (l *Log) flushConsolidated() (bool, int) {
 	// back to reservers before the sync latency is paid.
 	l.lb.release(end)
 
-	return true, l.finishCycle(recs, count, LSN(end), durableErr, sinkErr)
+	return true, l.finishCycle(recs, count, LSN(end), durableErr)
 }
 
 // finishCycle is the shared tail of a group-commit cycle: the single
 // physical force, retention, the durable-watermark advance, and the LSN-
 // ordered acknowledgements — or the wedge/crash handling that replaces them.
-// It returns the number of subscriptions acknowledged, the adaptive
+// It returns the number of subscriptions acknowledged, the window
 // controller's batch-size signal.
-func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr, sinkErr error) int {
+func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr error) int {
 	if durableErr == nil && l.cfg.Durable != nil {
 		// The single physical force of the group commit.
 		durableErr = l.cfg.Durable.Sync()
@@ -1238,15 +1075,13 @@ func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr, sink
 		l.flushLSN = target
 	}
 	l.stats.Synced.Add(uint64(count))
-	return l.notifyWaitersLocked(sinkErr)
+	return l.notifyWaitersLocked()
 }
 
 // notifyWaitersLocked acknowledges every subscription satisfied by the
 // current durable watermark, in ascending LSN order, returning how many it
-// acknowledged. sinkErr, when non-nil, is the best-effort mirror's write
-// error; it is reported to this batch's waiters without affecting
-// durability.
-func (l *Log) notifyWaitersLocked(sinkErr error) int {
+// acknowledged.
+func (l *Log) notifyWaitersLocked() int {
 	var remaining []flushWaiter
 	var done []flushWaiter
 	for _, w := range l.waiters {
@@ -1258,7 +1093,7 @@ func (l *Log) notifyWaitersLocked(sinkErr error) int {
 	}
 	sort.Slice(done, func(i, j int) bool { return done[i].upTo < done[j].upTo })
 	for _, w := range done {
-		w.ch <- sinkErr
+		w.ch <- nil
 	}
 	l.waiters = remaining
 	return len(done)
@@ -1303,7 +1138,7 @@ func (l *Log) Records() []Record {
 func (l *Log) PendingBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	end := l.endLSNLocked()
+	end := l.LastLSN()
 	if end <= l.flushLSN {
 		return 0
 	}
@@ -1328,7 +1163,7 @@ type TailStats struct {
 	FlushCycles    uint64        // group-commit cycles completed
 	WindowedCycles uint64        // cycles that opened a group-commit window
 	WindowTotal    time.Duration // window time actually waited across those cycles
-	CurWindow      time.Duration // live window (the fixed value when not adaptive)
+	CurWindow      time.Duration // live window (the configured value when fixed)
 	FenceWait      time.Duration // cumulative publish-fence block time
 	ReserveWait    time.Duration // cumulative reserve wait (profiled appends only)
 	BufferFullWait time.Duration // cumulative buffer-full wait (timed unconditionally)
@@ -1347,23 +1182,20 @@ func (ts TailStats) AvgWindow() time.Duration {
 
 // TailStats returns the log tail's self-tuning snapshot.
 func (l *Log) TailStats() TailStats {
-	ts := TailStats{
+	return TailStats{
 		FlushCycles:    l.stats.Flushes.Load(),
 		WindowedCycles: l.windowedCycles.Load(),
 		WindowTotal:    time.Duration(l.windowNanos.Load()),
 		CurWindow:      time.Duration(l.window.Load()),
+		FenceWait:      time.Duration(l.lb.fenceNanos.Load()),
+		ReserveWait:    time.Duration(l.lb.reserveNanos.Load()),
+		BufferFullWait: time.Duration(l.lb.fullNanos.Load()),
+		BufferBytes:    l.lb.sizeNow(),
+		BufferGrows:    uint64(l.lb.grows.Load()),
 	}
-	if l.lb != nil {
-		ts.FenceWait = time.Duration(l.lb.fenceNanos.Load())
-		ts.ReserveWait = time.Duration(l.lb.reserveNanos.Load())
-		ts.BufferFullWait = time.Duration(l.lb.fullNanos.Load())
-		ts.BufferBytes = l.lb.sizeNow()
-		ts.BufferGrows = uint64(l.lb.grows.Load())
-	}
-	return ts
 }
 
-// Window returns the group-commit window currently in effect — the adaptive
+// Window returns the group-commit window currently in effect — the
 // controller's live value, or the configured fixed window.
 func (l *Log) Window() time.Duration {
 	return time.Duration(l.window.Load())
@@ -1378,19 +1210,17 @@ func (l *Log) Close() error {
 	// No new appends from here on: the group-commit pause wakes immediately
 	// instead of letting each drain cycle pay a full window.
 	l.draining.Store(true)
-	if l.lb != nil {
-		// Refuse new reservations first so the drain below is complete;
-		// records already reserved still fill, publish and drain.
-		l.lb.close(ErrClosed)
-	}
+	// Refuse new reservations first so the drain below is complete; records
+	// already reserved still fill, publish and drain.
+	l.lb.close(ErrClosed)
 	for {
 		l.mu.Lock()
 		if l.closed {
 			l.mu.Unlock()
 			return nil
 		}
-		end := l.endLSNLocked()
-		if l.flushLSN >= end && len(l.records) == 0 {
+		end := l.LastLSN()
+		if l.flushLSN >= end {
 			l.closed = true
 			l.flushWork.Broadcast()
 			l.mu.Unlock()
@@ -1417,16 +1247,13 @@ func (l *Log) Crash() {
 	}
 	err := l.failed
 	l.closed = true
-	l.records = nil
 	if !l.flusherActive {
 		// No flusher to deliver the failure; fail the waiters directly.
 		l.failWaitersLocked(err)
 	}
 	l.flushWork.Broadcast()
 	l.mu.Unlock()
-	if l.lb != nil {
-		// Discard the consolidated buffer: reservations fail from here on and
-		// blocked reservers wake with the crash error.
-		l.lb.close(err)
-	}
+	// Discard the buffer: reservations fail from here on and blocked
+	// reservers wake with the crash error.
+	l.lb.close(err)
 }

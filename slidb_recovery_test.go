@@ -186,13 +186,13 @@ func TestCrashRecoveryTorture(t *testing.T) {
 
 // TestCrashRecoveryTorturePreallocated is the same torture with the PR-7 log
 // tail fully enabled: preallocated segment files (the crash abandons a live
-// segment carrying a zero tail at its full rotation size), the adaptive
-// group-commit controller, and the relaxed publish fence. Recovery must be
-// indistinguishable from the unallocated layout's.
+// segment carrying a zero tail at its full rotation size) and the tuned
+// group-commit window. Recovery must be indistinguishable from the
+// unallocated layout's.
 func TestCrashRecoveryTorturePreallocated(t *testing.T) {
 	runCrashRecoveryTorture(t, slidb.Config{
 		PreallocateSegments: true,
-		AdaptiveGroupCommit: true,
+		GroupCommitMax:      2 * time.Millisecond,
 	})
 }
 
