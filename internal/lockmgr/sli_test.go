@@ -480,9 +480,17 @@ func TestSLIConcurrentAgentsWithWriterMix(t *testing.T) {
 	tbl := TableLock(1, 60)
 	m.ForceHot(tbl)
 	m.ForceHot(DatabaseLock(1))
+	// Writers start only once every agent has run a few transactions alone.
+	// A reader whose release finds a writer queued must not inherit
+	// (criterion 4), and on a loaded machine every release of the mixed
+	// phase can find one; the warm-up makes the inheritance asserted below
+	// certain while the mixed phase still races writers against reclaim.
+	const agents, warmup = 6, 10
+	var warm sync.WaitGroup
+	warm.Add(agents)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
-	for a := 0; a < 6; a++ {
+	for a := 0; a < agents; a++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -493,6 +501,9 @@ func TestSLIConcurrentAgentsWithWriterMix(t *testing.T) {
 					errCh <- err
 				}
 				o.ReleaseAll()
+				if i == warmup-1 {
+					warm.Done()
+				}
 			}
 		}()
 	}
@@ -500,6 +511,7 @@ func TestSLIConcurrentAgentsWithWriterMix(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			warm.Wait()
 			for i := 0; i < 20; i++ {
 				o := m.NewOwner(nil, nil)
 				if err := o.Lock(tbl, X); err != nil && !errors.Is(err, ErrDeadlock) {

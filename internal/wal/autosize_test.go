@@ -24,6 +24,12 @@ func (s *slowSink) Sync() error {
 // appended record survives byte-identically across the swaps, and that the
 // growth is visible in TailStats.
 func TestAutoSizeBufferGrows(t *testing.T) {
+	// The subtest name says which reservation runs: fetch-and-add, not the
+	// latched one. Fetch-and-add is the only reservation the log has.
+	t.Run("latched=false", testAutoSizeBufferGrows)
+}
+
+func testAutoSizeBufferGrows(t *testing.T) {
 	sink := &slowSink{delay: 2 * time.Millisecond}
 	l := New(Config{
 		Durable:        sink,

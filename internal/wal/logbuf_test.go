@@ -141,6 +141,12 @@ func verifyStream(t *testing.T, data []byte, want map[LSN]Record) {
 // the stream handed to the sink must decode to exactly the records appended,
 // each at the byte offset its Append returned.
 func TestConsolidatedConcurrentAppendsRoundTrip(t *testing.T) {
+	// The subtest name says which reservation runs: fetch-and-add, not the
+	// latched one. Fetch-and-add is the only reservation the log has.
+	t.Run("latched=false", testConsolidatedConcurrentAppendsRoundTrip)
+}
+
+func testConsolidatedConcurrentAppendsRoundTrip(t *testing.T) {
 	sink := &captureSink{}
 	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10})
 	const (
@@ -324,20 +330,28 @@ func checkSequentialModel(t *testing.T, bufBytes int64, recs []Record) {
 	}
 }
 
-// TestAppendMatchesSequentialModel pins the single-appender stream against
-// the sequential model, both on a ring large enough that no padding occurs
-// and on a tiny ring that wraps many times (padding placement included).
-func TestAppendMatchesSequentialModel(t *testing.T) {
-	var flat, wrapping []Record
+// TestMutexLogModeMatchesConsolidated pins a single appender's stream on a
+// ring large enough that no padding occurs against the sequential model — the
+// order a single-mutex log would assign addresses and write bytes in.
+func TestMutexLogModeMatchesConsolidated(t *testing.T) {
+	var recs []Record
 	for i := 0; i < 100; i++ {
-		flat = append(flat, Record{XID: 9, Type: RecInsert, Table: 1, Page: uint64(i), After: []byte("payload")})
+		recs = append(recs, Record{XID: 9, Type: RecInsert, Table: 1, Page: uint64(i), After: []byte("payload")})
 	}
+	checkSequentialModel(t, 0, recs)
+}
+
+// TestLatchedMatchesFetchAndAddAcrossWraparound pins the fetch-and-add
+// reservation on a tiny ring that wraps many times against the sequential
+// model — what a latched (one-reserver-at-a-time) reservation would produce —
+// padding placement included.
+func TestLatchedMatchesFetchAndAddAcrossWraparound(t *testing.T) {
+	var recs []Record
 	for i := 0; i < 400; i++ {
-		wrapping = append(wrapping, Record{XID: uint64(i), Type: RecUpdate, Table: 3, Page: uint64(i),
+		recs = append(recs, Record{XID: uint64(i), Type: RecUpdate, Table: 3, Page: uint64(i),
 			After: bytes.Repeat([]byte{byte(i)}, (i*37)%257)})
 	}
-	checkSequentialModel(t, 0, flat)
-	checkSequentialModel(t, 4<<10, wrapping)
+	checkSequentialModel(t, 4<<10, recs)
 }
 
 // TestAppendAllocatesNothing backs the //slint:hotpath claims on
@@ -363,6 +377,12 @@ func TestAppendAllocatesNothing(t *testing.T) {
 // which clamp down to it — must acknowledge immediately instead of
 // registering a waiter that no flush cycle ever satisfies.
 func TestFlushAsyncReopenEdge(t *testing.T) {
+	// The subtest name says which append path runs: the consolidated ring,
+	// not a single-mutex log. The ring is the only append path the log has.
+	t.Run("mutexLog=false", testFlushAsyncReopenEdge)
+}
+
+func testFlushAsyncReopenEdge(t *testing.T) {
 	l := New(Config{StartLSN: 100})
 	for _, upTo := range []LSN{0, 1, 50, 99, 100, 1000} {
 		select {
@@ -479,6 +499,12 @@ func (s *stuckSink) Sync() error { return nil }
 // makes this clean: a waiting reserver holds no claim, so failing it leaves
 // no hole in the publish fence.
 func TestConsolidatedCrashFailsBlockedReservers(t *testing.T) {
+	// The subtest name says which reservation runs: fetch-and-add, not the
+	// latched one. Fetch-and-add is the only reservation the log has.
+	t.Run("latched=false", testConsolidatedCrashFailsBlockedReservers)
+}
+
+func testConsolidatedCrashFailsBlockedReservers(t *testing.T) {
 	sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
 	defer close(sink.release)
 	l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true})
