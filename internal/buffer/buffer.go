@@ -175,10 +175,11 @@ func (p *Pool) Capacity() int { return p.cfg.Frames }
 // the store (or initializing an empty page) on a miss. The caller must call
 // Unpin exactly once when done. h may be nil.
 func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
-	workStart := time.Now()
+	workStart := h.Start()
 	contended, wait := p.mu.Lock()
 	if contended {
 		h.Add(profiler.BufferContention, wait)
+		workStart = workStart.Add(wait)
 	}
 	if f, ok := p.table[id]; ok {
 		f.pins.Add(1)
@@ -187,11 +188,11 @@ func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 		p.mu.Unlock()
 		p.stats.Hits.Add(1)
 		if loading != nil {
-			ioStart := time.Now()
+			ioStart := h.Start()
 			<-loading
-			h.Add(profiler.IOWait, time.Since(ioStart))
+			h.AddSince(profiler.IOWait, ioStart)
 		}
-		h.Add(profiler.BufferWork, time.Since(workStart)-wait)
+		h.AddSince(profiler.BufferWork, workStart)
 		return f, nil
 	}
 
@@ -200,7 +201,7 @@ func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 		p.mu.Unlock()
 		// Even the pool-exhausted miss spent wall time under the table lock;
 		// attribute it (found by the proftimer analyzer).
-		h.Add(profiler.BufferWork, time.Since(workStart)-wait)
+		h.AddSince(profiler.BufferWork, workStart)
 		return nil, ErrNoFrames
 	}
 	oldID, oldValid, oldDirty := victim.id, victim.valid, victim.dirty.Load()
@@ -218,16 +219,16 @@ func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 	p.table[id] = victim
 	p.mu.Unlock()
 	p.stats.Misses.Add(1)
-	h.Add(profiler.BufferWork, time.Since(workStart)-wait)
+	h.AddSince(profiler.BufferWork, workStart)
 
 	// I/O happens outside the pool latch so concurrent misses overlap.
-	ioStart := time.Now()
+	ioStart := h.Start()
 	if oldValid && oldDirty {
 		if err := p.store.Write(oldID, victim.pg.Bytes()); err != nil {
 			// Propagate the error but leave the frame usable as a fresh page.
 			victim.pg.Init()
 			p.finishLoad(victim, ch)
-			h.Add(profiler.IOWait, time.Since(ioStart))
+			h.AddSince(profiler.IOWait, ioStart)
 			return nil, fmt.Errorf("buffer: writeback of %v failed: %w", oldID, err)
 		}
 		p.stats.Writebacks.Add(1)
@@ -237,7 +238,7 @@ func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 	if err != nil {
 		victim.pg.Init()
 		p.finishLoad(victim, ch)
-		h.Add(profiler.IOWait, time.Since(ioStart))
+		h.AddSince(profiler.IOWait, ioStart)
 		return nil, fmt.Errorf("buffer: read of %v failed: %w", id, err)
 	}
 	if found {
@@ -246,7 +247,7 @@ func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 		victim.pg.Init()
 	}
 	p.finishLoad(victim, ch)
-	h.Add(profiler.IOWait, time.Since(ioStart))
+	h.AddSince(profiler.IOWait, ioStart)
 	return victim, nil
 }
 
@@ -315,9 +316,9 @@ func (p *Pool) FlushAll(h *profiler.Handle) error {
 		if err == nil {
 			f.dirty.Store(false)
 			p.stats.Writebacks.Add(1)
-			ioStart := time.Now()
+			ioStart := h.Start()
 			p.simulateIO()
-			h.Add(profiler.IOWait, time.Since(ioStart))
+			h.AddSince(profiler.IOWait, ioStart)
 		}
 		p.pinsRelease(f)
 		if err != nil {

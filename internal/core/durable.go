@@ -216,9 +216,8 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 			return err
 		}
 		e.installTable(tbl)
-		e.mu.RLock()
-		hf, pk := e.heaps[tbl.ID], e.pkTrees[tbl.ID]
-		e.mu.RUnlock()
+		rt := e.tableRuntimeByID(tbl.ID)
+		hf, pk := rt.hf, rt.pk
 		for _, data := range ts.Rows {
 			row, err := tbl.Schema.Decode(data)
 			if err != nil {
@@ -243,24 +242,11 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 	return nil
 }
 
-// redoRuntime bundles the structures the redo appliers operate on.
-type redoRuntime struct {
-	tbl  *catalog.Table
-	hf   *heap.File
-	pk   *index
-	secs []*index
-}
-
-func (e *Engine) redoRuntime(tableID uint32) (*redoRuntime, error) {
-	tbl, ok := e.cat.TableByID(tableID)
-	if !ok {
+// redoRuntime returns the runtime of a table a redo record references.
+func (e *Engine) redoRuntime(tableID uint32) (*tableRuntime, error) {
+	rt := e.tableRuntimeByID(tableID)
+	if rt == nil {
 		return nil, fmt.Errorf("core: redo references unknown table %d", tableID)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rt := &redoRuntime{tbl: tbl, hf: e.heaps[tableID], pk: e.pkTrees[tableID]}
-	for _, ix := range e.cat.TableIndexes(tableID) {
-		rt.secs = append(rt.secs, e.secs[ix.Name])
 	}
 	return rt, nil
 }
@@ -300,7 +286,7 @@ func (a engineApplier) Insert(tableID uint32, after []byte) error {
 	if err != nil {
 		return err
 	}
-	row, err := rt.tbl.Schema.Decode(after)
+	row, err := rt.meta.Schema.Decode(after)
 	if err != nil {
 		return err
 	}
@@ -308,7 +294,7 @@ func (a engineApplier) Insert(tableID uint32, after []byte) error {
 	if err != nil {
 		return err
 	}
-	rt.pk.tree.insert(record.EncodeKey(rt.tbl.PrimaryKeyOf(row)...), rid)
+	rt.pk.tree.insert(record.EncodeKey(rt.meta.PrimaryKeyOf(row)...), rid)
 	for _, sec := range rt.secs {
 		sec.tree.insert(indexKey(sec.meta.KeyOf(row), rid, sec.meta.Unique), rid)
 	}
@@ -320,11 +306,11 @@ func (a engineApplier) Update(tableID uint32, before, after []byte) error {
 	if err != nil {
 		return err
 	}
-	newRow, err := rt.tbl.Schema.Decode(after)
+	newRow, err := rt.meta.Schema.Decode(after)
 	if err != nil {
 		return err
 	}
-	rid, ok := rt.pk.tree.get(record.EncodeKey(rt.tbl.PrimaryKeyOf(newRow)...))
+	rid, ok := rt.pk.tree.get(record.EncodeKey(rt.meta.PrimaryKeyOf(newRow)...))
 	if !ok {
 		return fmt.Errorf("core: redo update of missing row in table %d", tableID)
 	}
@@ -332,7 +318,7 @@ func (a engineApplier) Update(tableID uint32, before, after []byte) error {
 		return err
 	}
 	if len(rt.secs) > 0 {
-		oldRow, derr := rt.tbl.Schema.Decode(before)
+		oldRow, derr := rt.meta.Schema.Decode(before)
 		if derr != nil {
 			return derr
 		}
@@ -354,11 +340,11 @@ func (a engineApplier) Delete(tableID uint32, before []byte) error {
 	if err != nil {
 		return err
 	}
-	oldRow, err := rt.tbl.Schema.Decode(before)
+	oldRow, err := rt.meta.Schema.Decode(before)
 	if err != nil {
 		return err
 	}
-	pkKey := record.EncodeKey(rt.tbl.PrimaryKeyOf(oldRow)...)
+	pkKey := record.EncodeKey(rt.meta.PrimaryKeyOf(oldRow)...)
 	rid, ok := rt.pk.tree.get(pkKey)
 	if !ok {
 		return fmt.Errorf("core: redo delete of missing row in table %d", tableID)
@@ -402,9 +388,7 @@ func (e *Engine) Checkpoint() error {
 		snap.LSNs = vec
 	}
 	for _, tbl := range e.cat.Tables() {
-		e.mu.RLock()
-		hf := e.heaps[tbl.ID]
-		e.mu.RUnlock()
+		hf := e.tableRuntimeByID(tbl.ID).hf
 		ts := recovery.TableSnapshot{Meta: catalog.TableMetaOf(tbl)}
 		err := hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
 			ts.Rows = append(ts.Rows, rec)

@@ -92,7 +92,10 @@ type Config struct {
 	// worker under AsyncCommit (default 32).
 	PipelineDepth int
 	// Profile enables the per-component time breakdown used by the figure
-	// harness. It adds a small overhead per operation.
+	// harness. It adds a small overhead per operation. With Profile off the
+	// lock, buffer and transaction paths read no clock; only a contended
+	// latch still times its wait, and an installed observer (Observe) still
+	// times each transaction.
 	Profile bool
 	// LockTimeout bounds lock waits; zero uses the default (10s).
 	LockTimeout time.Duration
@@ -182,10 +185,12 @@ type Engine struct {
 	execGate sync.RWMutex
 	recStats RecoveryStats
 
-	mu      sync.RWMutex
-	heaps   map[uint32]*heap.File
-	pkTrees map[uint32]*index
-	secs    map[string]*index
+	// mu guards the runtime schema: tables maps a table ID to its resolved
+	// runtime (replaced whole, never mutated, on DDL) and secs a secondary
+	// index name to its tree.
+	mu     sync.RWMutex
+	tables map[uint32]*tableRuntime
+	secs   map[string]*index
 
 	nextXID atomic.Uint64
 
@@ -193,7 +198,10 @@ type Engine struct {
 	stopping  chan struct{} // closed by Close/SimulateCrash; unblocks Exec senders
 	workersMu sync.Mutex
 	workers   []*worker
-	closed    atomic.Bool
+	// nWorkers mirrors len(workers) for the per-transaction readers (Exec,
+	// ExecAsync), so only resizing takes workersMu.
+	nWorkers atomic.Int64
+	closed   atomic.Bool
 
 	// obs is the engine's observability surface, created lazily by Observe
 	// (see obs.go). txHook is the per-transaction completion hook it
@@ -278,8 +286,7 @@ func newEngine(cfg Config, durable []*wal.Segments, startLSNs []wal.LSN) *Engine
 		nShards:  nShards,
 		segs:     durable,
 		prof:     profiler.New(cfg.Profile),
-		heaps:    make(map[uint32]*heap.File),
-		pkTrees:  make(map[uint32]*index),
+		tables:   make(map[uint32]*tableRuntime),
 		secs:     make(map[string]*index),
 		jobs:     make(chan job),
 		stopping: make(chan struct{}),
@@ -467,11 +474,7 @@ func (e *Engine) SetSLI(enabled bool) { e.lm.SetSLI(enabled) }
 func (e *Engine) SLIEnabled() bool { return e.lm.SLIEnabled() }
 
 // Concurrency returns the current number of agent workers.
-func (e *Engine) Concurrency() int {
-	e.workersMu.Lock()
-	defer e.workersMu.Unlock()
-	return len(e.workers)
-}
+func (e *Engine) Concurrency() int { return int(e.nWorkers.Load()) }
 
 // SetConcurrency resizes the agent pool to n workers. It blocks until
 // removed workers have drained their current transaction.
@@ -506,6 +509,7 @@ func (e *Engine) SetConcurrency(n int) {
 		close(w.quit)
 		stopped = append(stopped, w)
 	}
+	e.nWorkers.Store(int64(len(e.workers)))
 	for _, w := range stopped {
 		<-w.done
 	}
@@ -558,9 +562,9 @@ func (e *Engine) ackerLoop(w *worker) {
 // attributing the wait to the LogFlush profiler category and settling the
 // committed/aborted counters.
 func (e *Engine) waitDurable(prof *profiler.Handle, ack <-chan error) error {
-	start := time.Now()
+	start := prof.Start()
 	err := <-ack
-	prof.Add(profiler.LogFlush, time.Since(start))
+	prof.AddSince(profiler.LogFlush, start)
 	if err == nil {
 		e.committed.Add(1)
 	} else {
@@ -670,7 +674,13 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 	if w != nil {
 		agent, prof = w.agent, w.prof
 	}
-	start := time.Now()
+	// Time the attempt only for a consumer: the profiler's TxWork
+	// attribution or the observability hook. Without either no clock is read.
+	hook := e.txHook.Load()
+	start := prof.Start()
+	if hook != nil && prof == nil {
+		start = time.Now()
+	}
 	before := prof.Snapshot()
 
 	tx := &Tx{
@@ -695,7 +705,7 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 	// other" category. The durable-ack wait (if any) happens after this
 	// window, so under ELR neither lock hold time nor TxWork includes the
 	// flush latency.
-	wall := time.Since(start)
+	wall := profiler.Since(start)
 	var delta profiler.Breakdown
 	if prof != nil {
 		delta = prof.Snapshot().Sub(before)
@@ -712,7 +722,7 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 	// tracer). One atomic pointer load when no observer is installed; the
 	// hook itself is wait-free unless the attempt enters the slow set — no
 	// lock is added to the commit path either way.
-	if hook := e.txHook.Load(); hook != nil {
+	if hook != nil {
 		(*hook)(TxCompletion{
 			XID:       tx.xid,
 			Start:     start,
@@ -749,8 +759,7 @@ func (e *Engine) CreateTable(name string, schema *record.Schema, primaryKey []st
 		// restart would not know about.
 		e.cat.RemoveTable(tbl.ID)
 		e.mu.Lock()
-		delete(e.heaps, tbl.ID)
-		delete(e.pkTrees, tbl.ID)
+		delete(e.tables, tbl.ID)
 		e.mu.Unlock()
 		return err
 	}
@@ -761,9 +770,25 @@ func (e *Engine) CreateTable(name string, schema *record.Schema, primaryKey []st
 // structures (heap file and primary-key tree).
 func (e *Engine) installTable(tbl *catalog.Table) {
 	e.mu.Lock()
-	e.heaps[tbl.ID] = heap.NewFile(tbl.ID, e.pool)
-	e.pkTrees[tbl.ID] = &index{tree: newIndexTree()}
+	e.tables[tbl.ID] = &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{tree: newIndexTree()}}
 	e.mu.Unlock()
+}
+
+// resolveIndexesLocked republishes a table's runtime with its secondary
+// indexes re-read from the catalog, after an index was installed or rolled
+// back. The caller holds e.mu for writing.
+func (e *Engine) resolveIndexesLocked(tableID uint32) {
+	old := e.tables[tableID]
+	if old == nil {
+		return
+	}
+	rt := &tableRuntime{meta: old.meta, hf: old.hf, pk: old.pk}
+	for _, ix := range e.cat.TableIndexes(tableID) {
+		if sec := e.secs[ix.Name]; sec != nil {
+			rt.secs = append(rt.secs, sec)
+		}
+	}
+	e.tables[tableID] = rt
 }
 
 // CreateIndex creates a secondary index on an existing (empty or populated)
@@ -784,6 +809,7 @@ func (e *Engine) CreateIndex(name, table string, columns []string, unique bool) 
 		e.cat.RemoveIndex(ix.Name)
 		e.mu.Lock()
 		delete(e.secs, ix.Name)
+		e.resolveIndexesLocked(ix.TableID)
 		e.mu.Unlock()
 		return err
 	}
@@ -797,7 +823,8 @@ func (e *Engine) installIndex(ix *catalog.Index) error {
 	idx := &index{meta: ix, tree: newIndexTree()}
 	e.mu.Lock()
 	e.secs[ix.Name] = idx
-	hf := e.heaps[ix.TableID]
+	e.resolveIndexesLocked(ix.TableID)
+	hf := e.tables[ix.TableID].hf
 	e.mu.Unlock()
 	var err error
 	serr := hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
@@ -832,7 +859,10 @@ func (e *Engine) logDDL(typ wal.RecType, meta []byte) error {
 	return e.log.Flush(lsn)
 }
 
-// table bundle lookups used by Tx.
+// tableRuntime bundles the structures transactions and redo operate on for
+// one table. It is resolved once per DDL (installTable, installIndex and
+// their rollbacks) and never mutated after it is published, so lookups
+// share it without copying.
 type tableRuntime struct {
 	meta *catalog.Table
 	hf   *heap.File
@@ -841,15 +871,18 @@ type tableRuntime struct {
 }
 
 func (e *Engine) tableRuntime(name string) (*tableRuntime, error) {
-	tbl, ok := e.cat.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown table %q", name)
+	if tbl, ok := e.cat.Table(name); ok {
+		if rt := e.tableRuntimeByID(tbl.ID); rt != nil {
+			return rt, nil
+		}
 	}
+	return nil, fmt.Errorf("core: unknown table %q", name)
+}
+
+// tableRuntimeByID returns the runtime of the table with the given ID, or
+// nil if none is installed.
+func (e *Engine) tableRuntimeByID(id uint32) *tableRuntime {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	rt := &tableRuntime{meta: tbl, hf: e.heaps[tbl.ID], pk: e.pkTrees[tbl.ID]}
-	for _, ix := range e.cat.TableIndexes(tbl.ID) {
-		rt.secs = append(rt.secs, e.secs[ix.Name])
-	}
-	return rt, nil
+	return e.tables[id]
 }

@@ -218,16 +218,16 @@ func (tx *Tx) preCommit() (<-chan error, error) {
 		tx.undo = nil
 		return ack, nil
 	}
-	flushStart := time.Now()
+	flushStart := tx.prof.Start()
 	if err := tx.e.log.Flush(tx.lastLSN); err != nil {
 		// The failed flush still spent wall time in LogFlush — attribute it
 		// before bailing, or the category under-reports exactly when the
 		// log wedges (found by the proftimer analyzer).
-		tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
+		tx.prof.AddSince(profiler.LogFlush, flushStart)
 		tx.abort()
 		return nil, err
 	}
-	tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
+	tx.prof.AddSince(profiler.LogFlush, flushStart)
 	tx.owner.ReleaseAll()
 	tx.undo = nil
 	return nil, nil
@@ -282,14 +282,14 @@ func (tx *Tx) preCommitSharded() (<-chan error, error) {
 		}
 		acks = append(acks, tx.e.logs[s].FlushAsync(tx.shardLast[s]))
 	}
-	flushStart := time.Now()
+	flushStart := tx.prof.Start()
 	var err error
 	for _, ack := range acks {
 		if aerr := <-ack; aerr != nil && err == nil {
 			err = aerr
 		}
 	}
-	tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
+	tx.prof.AddSince(profiler.LogFlush, flushStart)
 	if err != nil {
 		tx.abort()
 		return nil, err
@@ -362,10 +362,10 @@ func (tx *Tx) abort() {
 				tx.undo = nil
 				return
 			}
-			flushStart := time.Now()
+			flushStart := tx.prof.Start()
 			//slint:ignore errwedge abort is already the failure path; a wedged log here surfaces on the next append
 			_ = tx.e.log.Flush(tx.lastLSN)
-			tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
+			tx.prof.AddSince(profiler.LogFlush, flushStart)
 		}
 	}
 	tx.owner.ReleaseAll()
@@ -422,13 +422,13 @@ func (tx *Tx) finishAbortSharded() {
 			}
 			acks = append(acks, tx.e.logs[s].FlushAsync(tx.shardLast[s]))
 		}
-		flushStart := time.Now()
+		flushStart := tx.prof.Start()
 		for _, ack := range acks {
 			// Abort is already the failure path; a wedged shard surfaces on
 			// the next append.
 			<-ack
 		}
-		tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
+		tx.prof.AddSince(profiler.LogFlush, flushStart)
 	}
 	tx.owner.ReleaseAll()
 	tx.undo = nil
@@ -438,17 +438,12 @@ func (tx *Tx) finishAbortSharded() {
 // time to the UndoWork profiler category and counting failures (which mean
 // the in-memory state may be corrupt — torture tests fail loudly on them).
 func (tx *Tx) applyUndo(ent undoEntry) error {
-	var undoStart time.Time
-	if tx.prof != nil {
-		undoStart = time.Now()
-	}
+	undoStart := tx.prof.Start()
 	err := ent.apply(tx)
 	if err != nil {
 		tx.e.undoFailures.Add(1)
 	}
-	if tx.prof != nil {
-		tx.prof.Add(profiler.UndoWork, time.Since(undoStart))
-	}
+	tx.prof.AddSince(profiler.UndoWork, undoStart)
 	return err
 }
 
@@ -654,22 +649,26 @@ func (tx *Tx) lastShardLSN(shard int) wal.LSN {
 // Get returns the row with the given primary key, locking it in share mode.
 // The boolean result reports whether the row exists.
 func (tx *Tx) Get(table string, key ...record.Value) (record.Row, bool, error) {
-	row, _, found, err := tx.get(table, lockmgr.S, key...)
+	rt, err := tx.e.tableRuntime(table)
+	if err != nil {
+		return nil, false, err
+	}
+	row, _, found, err := tx.get(rt, lockmgr.S, key...)
 	return row, found, err
 }
 
 // GetForUpdate returns the row with the given primary key, locking it
 // exclusively so it can subsequently be updated or deleted.
 func (tx *Tx) GetForUpdate(table string, key ...record.Value) (record.Row, bool, error) {
-	row, _, found, err := tx.get(table, lockmgr.X, key...)
+	rt, err := tx.e.tableRuntime(table)
+	if err != nil {
+		return nil, false, err
+	}
+	row, _, found, err := tx.get(rt, lockmgr.X, key...)
 	return row, found, err
 }
 
-func (tx *Tx) get(table string, mode lockmgr.Mode, key ...record.Value) (record.Row, heap.RID, bool, error) {
-	rt, err := tx.e.tableRuntime(table)
-	if err != nil {
-		return nil, heap.RID{}, false, err
-	}
+func (tx *Tx) get(rt *tableRuntime, mode lockmgr.Mode, key ...record.Value) (record.Row, heap.RID, bool, error) {
 	pkKey := record.EncodeKey(key...)
 	if tx.trackReads() {
 		// The shard is part of the commit's participant set whether the row
@@ -712,7 +711,7 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 	if err != nil {
 		return err
 	}
-	oldRow, rid, found, err := tx.get(table, lockmgr.X, key...)
+	oldRow, rid, found, err := tx.get(rt, lockmgr.X, key...)
 	if err != nil {
 		return err
 	}
@@ -792,7 +791,7 @@ func (tx *Tx) Delete(table string, key ...record.Value) error {
 	if err != nil {
 		return err
 	}
-	oldRow, rid, found, err := tx.get(table, lockmgr.X, key...)
+	oldRow, rid, found, err := tx.get(rt, lockmgr.X, key...)
 	if err != nil {
 		return err
 	}
@@ -863,14 +862,15 @@ func (tx *Tx) LookupIndexForUpdate(indexName string, key ...record.Value) ([]rec
 func (tx *Tx) lookupIndex(indexName string, mode lockmgr.Mode, key ...record.Value) ([]record.Row, error) {
 	tx.e.mu.RLock()
 	idx, ok := tx.e.secs[indexName]
+	var rt *tableRuntime
+	if ok {
+		rt = tx.e.tables[idx.meta.TableID]
+	}
 	tx.e.mu.RUnlock()
-	if !ok {
+	if rt == nil {
 		return nil, fmt.Errorf("core: unknown index %q", indexName)
 	}
-	tbl, _ := tx.e.cat.TableByID(idx.meta.TableID)
-	tx.e.mu.RLock()
-	hf := tx.e.heaps[idx.meta.TableID]
-	tx.e.mu.RUnlock()
+	tbl, hf := rt.meta, rt.hf
 
 	prefix := record.EncodeKey(key...)
 	var rids []heap.RID

@@ -133,7 +133,21 @@ type Agent struct {
 	id      uint64
 	mgr     *Manager
 	pending []*Request
+
+	// cache, inherited and held are the previous owner's lock bookkeeping,
+	// emptied by its ReleaseAll and handed to the agent's next NewOwner, so
+	// a steady stream of short transactions allocates no maps. nil while
+	// an owner is using them (or after one outgrew maxRecycledLocks).
+	cache     map[LockID]*Request
+	inherited map[LockID]*Request
+	held      []*Request
 }
+
+// maxRecycledLocks bounds the lock bookkeeping an agent keeps between
+// transactions. Emptying a map costs its capacity, not its length, so a map
+// that once held a bulk load's locks is dropped rather than cleared on every
+// later short transaction.
+const maxRecycledLocks = 128
 
 // NewAgent creates an agent context. Each worker goroutine that executes
 // transactions should own exactly one Agent.
@@ -198,20 +212,26 @@ type Owner struct {
 
 // NewOwner creates the locking context for a new transaction running on the
 // given agent (which may be nil for detached transactions) and seeds it with
-// the agent's inherited locks. prof may be nil.
+// the agent's inherited locks. On an agent it reuses the lock bookkeeping the
+// agent's previous owner gave back in ReleaseAll. prof may be nil.
 func (m *Manager) NewOwner(agent *Agent, prof *profiler.Handle) *Owner {
 	o := &Owner{
-		id:        m.nextOwnerID.Add(1),
-		mgr:       m,
-		agent:     agent,
-		prof:      prof,
-		cache:     make(map[LockID]*Request, 16),
-		inherited: make(map[LockID]*Request, 8),
+		id:    m.nextOwnerID.Add(1),
+		mgr:   m,
+		agent: agent,
+		prof:  prof,
+	}
+	if agent != nil && agent.cache != nil {
+		o.cache, o.inherited, o.held = agent.cache, agent.inherited, agent.held
+		agent.cache, agent.inherited, agent.held = nil, nil, nil
+	} else {
+		o.cache = make(map[LockID]*Request, 16)
+		o.inherited = make(map[LockID]*Request, 8)
 	}
 	if m.SLIEnabled() {
-		start := time.Now()
+		start := prof.Start()
 		agent.attach(o)
-		o.prof.Add(profiler.SLIWork, time.Since(start))
+		o.prof.AddSince(profiler.SLIWork, start)
 	} else if agent != nil && len(agent.pending) > 0 {
 		// SLI was turned off with inherited requests outstanding: retire them.
 		for _, req := range agent.pending {
@@ -318,14 +338,16 @@ func (m *Manager) Lock(o *Owner, id LockID, mode Mode) error {
 // head, latch it, invalidate incompatible inherited requests, and either
 // grant immediately or enqueue and wait.
 func (m *Manager) lockSlow(o *Owner, id LockID, mode Mode) error {
-	workStart := time.Now()
+	workStart := o.prof.Start()
 	var req *Request
 	var granted bool
 	for {
 		h := m.table.findOrCreate(id)
 		contended, wait := h.latch.Lock()
 		if wait > 0 {
+			// Contention, not work: keep it out of the LockMgrWork span.
 			o.prof.Add(profiler.LockMgrContention, wait)
+			workStart = workStart.Add(wait)
 		}
 		if contended {
 			m.stats.LatchContended.Add(1)
@@ -353,7 +375,7 @@ func (m *Manager) lockSlow(o *Owner, id LockID, mode Mode) error {
 		h.latch.Unlock()
 		break
 	}
-	o.prof.Add(profiler.LockMgrWork, time.Since(workStart))
+	o.prof.AddSince(profiler.LockMgrWork, workStart)
 	if granted {
 		o.cache[id] = req
 		o.held = append(o.held, req)
@@ -366,12 +388,13 @@ func (m *Manager) lockSlow(o *Owner, id LockID, mode Mode) error {
 // convert upgrades an already-held request to cover the wanted mode
 // (e.g. IS→IX when a reader turns writer).
 func (m *Manager) convert(o *Owner, req *Request, want Mode) error {
-	workStart := time.Now()
+	workStart := o.prof.Start()
 	target := Supremum(req.mode, want)
 	h := req.head
 	contended, wait := h.latch.Lock()
 	if wait > 0 {
 		o.prof.Add(profiler.LockMgrContention, wait)
+		workStart = workStart.Add(wait)
 	}
 	if contended {
 		m.stats.LatchContended.Add(1)
@@ -385,7 +408,7 @@ func (m *Manager) convert(o *Owner, req *Request, want Mode) error {
 	if Compatible(target, agg) {
 		req.mode = target
 		h.latch.Unlock()
-		o.prof.Add(profiler.LockMgrWork, time.Since(workStart))
+		o.prof.AddSince(profiler.LockMgrWork, workStart)
 		return nil
 	}
 	if req.ready == nil {
@@ -395,7 +418,7 @@ func (m *Manager) convert(o *Owner, req *Request, want Mode) error {
 	req.status.Store(statusConverting)
 	h.waiters++
 	h.latch.Unlock()
-	o.prof.Add(profiler.LockMgrWork, time.Since(workStart))
+	o.prof.AddSince(profiler.LockMgrWork, workStart)
 	m.stats.Waits.Add(1)
 	return m.waitFor(o, req, true)
 }
@@ -405,10 +428,10 @@ func (m *Manager) convert(o *Owner, req *Request, want Mode) error {
 func (m *Manager) waitFor(o *Owner, req *Request, isConversion bool) error {
 	o.waiting.Store(req)
 	defer o.waiting.Store(nil)
-	waitStart := time.Now()
+	waitStart := o.prof.Start()
 
 	accept := func(err error) error {
-		o.prof.Add(profiler.LockWait, time.Since(waitStart))
+		o.prof.AddSince(profiler.LockWait, waitStart)
 		if err != nil {
 			return err
 		}
@@ -438,7 +461,7 @@ func (m *Manager) waitFor(o *Owner, req *Request, isConversion bool) error {
 			if m.detectDeadlock(o, req, tick) {
 				if m.cancelWait(o, req, isConversion) {
 					m.stats.Deadlocks.Add(1)
-					o.prof.Add(profiler.LockWait, time.Since(waitStart))
+					o.prof.AddSince(profiler.LockWait, waitStart)
 					return ErrDeadlock
 				}
 				// The request was granted while we were cancelling; take it.
@@ -448,7 +471,7 @@ func (m *Manager) waitFor(o *Owner, req *Request, isConversion bool) error {
 		case <-deadlineC:
 			if m.cancelWait(o, req, isConversion) {
 				m.stats.Timeouts.Add(1)
-				o.prof.Add(profiler.LockWait, time.Since(waitStart))
+				o.prof.AddSince(profiler.LockWait, waitStart)
 				return ErrLockTimeout
 			}
 			return accept(<-req.ready)
@@ -511,7 +534,7 @@ func (m *Manager) invalidateIncompatible(o *Owner, h *lockHead, mode Mode) {
 // release removes a granted request from its lock head and grants any
 // waiters that become compatible.
 func (m *Manager) release(o *Owner, req *Request) {
-	workStart := time.Now()
+	workStart := o.prof.Start()
 	h := req.head
 	contended, wait := h.latch.Lock()
 	if wait > 0 {
@@ -525,8 +548,7 @@ func (m *Manager) release(o *Owner, req *Request) {
 	m.grantWaiters(h)
 	m.table.maybeRemove(h)
 	h.latch.Unlock()
-	work := time.Since(workStart) - wait
-	o.prof.Add(profiler.LockMgrWork, work)
+	o.prof.AddSince(profiler.LockMgrWork, workStart.Add(wait))
 }
 
 // unlinkInvalid unlinks a request that the caller has just transitioned to
@@ -587,13 +609,16 @@ func (m *Manager) ReleaseAll(o *Owner) {
 	o.finished = true
 	m.stats.Transactions.Add(1)
 
-	candidates := m.selectSLICandidates(o)
+	m.selectSLICandidates(o)
 
 	// Release youngest-first, mirroring Shore-MT's release order.
 	for i := len(o.held) - 1; i >= 0; i-- {
 		req := o.held[i]
-		if candidates != nil && candidates[req] && m.inherit(o, req) {
-			continue
+		if req.sliCandidate {
+			req.sliCandidate = false
+			if m.inherit(o, req) {
+				continue
+			}
 		}
 		m.release(o, req)
 	}
@@ -605,6 +630,12 @@ func (m *Manager) ReleaseAll(o *Owner) {
 		m.discardInherited(o, req)
 	}
 
+	if a := o.agent; a != nil && len(o.cache) <= maxRecycledLocks && cap(o.held) <= maxRecycledLocks {
+		clear(o.cache)
+		clear(o.inherited)
+		clear(o.held)
+		a.cache, a.inherited, a.held = o.cache, o.inherited, o.held[:0]
+	}
 	o.held = nil
 	o.cache = nil
 	o.inherited = nil

@@ -85,6 +85,11 @@ type Request struct {
 	// requests.
 	wasInherited bool
 
+	// sliCandidate marks a held request that the releasing owner's SLI
+	// candidate pass chose to inherit. It is owner-private: set and cleared
+	// inside one ReleaseAll, so it is false whenever no ReleaseAll runs.
+	sliCandidate bool
+
 	prev, next *Request
 }
 

@@ -1,10 +1,6 @@
 package lockmgr
 
-import (
-	"time"
-
-	"slidb/internal/profiler"
-)
+import "slidb/internal/profiler"
 
 // This file implements Speculative Lock Inheritance (paper §4): the decision
 // of which locks a committing transaction passes to its agent thread
@@ -22,19 +18,19 @@ import (
 // always precedes its children in the acquisition-ordered held list — to
 // already be a candidate.
 //
-// It returns nil when SLI is disabled, the transaction ran without an agent,
-// or nothing is eligible.
-func (m *Manager) selectSLICandidates(o *Owner) map[*Request]bool {
+// Candidates are marked with Request.sliCandidate, which ReleaseAll clears
+// as it consumes them. Nothing is marked when SLI is disabled or the
+// transaction ran without an agent.
+func (m *Manager) selectSLICandidates(o *Owner) {
 	if !m.SLIEnabled() || o.agent == nil || len(o.held) == 0 {
-		return nil
+		return
 	}
-	start := time.Now()
+	start := o.prof.Start()
 
 	// o.held is in acquisition order and the lock manager always acquires an
 	// object's ancestors before the object itself, so by the time a lock is
 	// considered here its parent (if held) has already been classified —
 	// criterion 5 can be checked with a single cache lookup, no sorting.
-	var cands map[*Request]bool
 	for _, r := range o.held {
 		id := r.id
 		if !id.Lvl.CoarserOrEqual(m.cfg.SLIMinLevel) {
@@ -52,18 +48,14 @@ func (m *Manager) selectSLICandidates(o *Owner) map[*Request]bool {
 		}
 		if parent, ok := id.Parent(); ok {
 			pr := o.cache[parent]
-			if pr == nil || !cands[pr] {
+			if pr == nil || !pr.sliCandidate {
 				m.stats.SLIIneligibleParent.Add(1)
 				continue // criterion 5: parent must also be passed on
 			}
 		}
-		if cands == nil {
-			cands = make(map[*Request]bool, 4)
-		}
-		cands[r] = true
+		r.sliCandidate = true
 	}
-	o.prof.Add(profiler.SLIWork, time.Since(start))
-	return cands
+	o.prof.AddSince(profiler.SLIWork, start)
 }
 
 // inherit attempts to pass a granted request to the owner's agent thread
@@ -72,7 +64,7 @@ func (m *Manager) selectSLICandidates(o *Owner) map[*Request]bool {
 // the request from granted to inherited and parks it on the agent.
 // It returns false if the lock must be released normally instead.
 func (m *Manager) inherit(o *Owner, req *Request) bool {
-	start := time.Now()
+	start := o.prof.Start()
 	h := req.head
 	contended, wait := h.latch.Lock()
 	if wait > 0 {
@@ -101,7 +93,7 @@ func (m *Manager) inherit(o *Owner, req *Request) bool {
 		o.agent.pending = append(o.agent.pending, req)
 		m.stats.SLIPassed.Add(1)
 	}
-	o.prof.Add(profiler.SLIWork, time.Since(start)-wait)
+	o.prof.AddSince(profiler.SLIWork, start.Add(wait))
 	return ok
 }
 
@@ -112,7 +104,7 @@ func (m *Manager) inherit(o *Owner, req *Request) bool {
 // wanted mode, or the speculation has already been invalidated, the request
 // falls back to the normal acquisition path.
 func (m *Manager) reclaim(o *Owner, req *Request, want Mode) error {
-	start := time.Now()
+	start := o.prof.Start()
 	if Covers(req.mode, want) {
 		if req.status.CompareAndSwap(statusInherited, statusGranted) {
 			req.owner.Store(o)
@@ -121,7 +113,7 @@ func (m *Manager) reclaim(o *Owner, req *Request, want Mode) error {
 			m.stats.SLIReclaimed.Add(1)
 			// Inherited locks are hot by construction (criterion 2).
 			m.stats.classify(req.id, want, true)
-			o.prof.Add(profiler.SLIWork, time.Since(start))
+			o.prof.AddSince(profiler.SLIWork, start)
 			return nil
 		}
 	} else {
@@ -136,7 +128,7 @@ func (m *Manager) reclaim(o *Owner, req *Request, want Mode) error {
 	// or we just did. Fall back to a normal acquisition.
 	delete(o.cache, req.id)
 	delete(o.inherited, req.id)
-	o.prof.Add(profiler.SLIWork, time.Since(start))
+	o.prof.AddSince(profiler.SLIWork, start)
 	return m.lockSlow(o, req.id, want)
 }
 
@@ -145,10 +137,10 @@ func (m *Manager) reclaim(o *Owner, req *Request, want Mode) error {
 // transaction avoided is paid here (and attributed to SLI, as in the
 // paper's Figure 10 accounting).
 func (m *Manager) discardInherited(o *Owner, req *Request) {
-	start := time.Now()
+	start := o.prof.Start()
 	if req.status.CompareAndSwap(statusInherited, statusInvalid) {
 		m.unlinkInvalid(o, req)
 		m.stats.SLIDiscarded.Add(1)
 	}
-	o.prof.Add(profiler.SLIWork, time.Since(start))
+	o.prof.AddSince(profiler.SLIWork, start)
 }

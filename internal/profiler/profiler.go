@@ -137,6 +137,38 @@ func (h *Handle) Add(c Category, d time.Duration) {
 	h.nanos[c].Add(int64(d))
 }
 
+// Start returns the current time on a live handle and the zero time on a
+// nil one, so an unprofiled caller reads no clock. Pair it with AddSince:
+//
+//	start := h.Start()
+//	... work ...
+//	h.AddSince(profiler.LockMgrWork, start)
+func (h *Handle) Start() time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// AddSince attributes the time elapsed since start (from Start) to category
+// c. It does nothing on a nil handle. To exclude a wait already attributed
+// elsewhere, pass start.Add(wait).
+func (h *Handle) AddSince(c Category, start time.Time) {
+	if h == nil {
+		return
+	}
+	h.Add(c, time.Since(start))
+}
+
+// Since is time.Since for a start that may be the zero time of an untimed
+// section: it returns 0 for the zero time without reading the clock.
+func Since(start time.Time) time.Duration {
+	if start.IsZero() {
+		return 0
+	}
+	return time.Since(start)
+}
+
 // Timed runs fn and attributes its elapsed time to category c.
 func (h *Handle) Timed(c Category, fn func()) {
 	if h == nil {

@@ -33,6 +33,29 @@ func TestNilHandleIsSafe(t *testing.T) {
 	if h.Snapshot().Total() != 0 {
 		t.Fatal("nil handle must report empty breakdown")
 	}
+	start := h.Start()
+	if !start.IsZero() {
+		t.Fatal("nil handle's Start must read no clock")
+	}
+	h.AddSince(LockMgrWork, start) // must not panic
+	if Since(start) != 0 {
+		t.Fatal("Since of the zero time must be 0")
+	}
+}
+
+func TestStartAddSinceExcludesWait(t *testing.T) {
+	var h Handle
+	start := h.Start()
+	time.Sleep(2 * time.Millisecond)
+	h.AddSince(LockMgrWork, start)
+	if got := h.Snapshot().Get(LockMgrWork); got < time.Millisecond {
+		t.Fatalf("AddSince recorded %v, want >= 1ms", got)
+	}
+	// Shifting the start past a wait excludes it: nothing is left to add.
+	h.AddSince(SLIWork, h.Start().Add(time.Hour))
+	if got := h.Snapshot().Get(SLIWork); got != 0 {
+		t.Fatalf("AddSince with the wait excluded recorded %v, want 0", got)
+	}
 }
 
 func TestTimedAttributesElapsed(t *testing.T) {

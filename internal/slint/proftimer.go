@@ -19,14 +19,23 @@ import (
 //
 // (sometimes through an intermediate: total := time.Since(start); then
 // total feeds one or more Add calls, as appendTimed does when it splits a
-// total into reserve-wait, buffer-full-wait and the work category). If an
-// early error return skips the Add, that category silently under-reports
-// exactly when something interesting happened — the flush that failed is
-// the flush you wanted attributed.
+// total into reserve-wait, buffer-full-wait and the work category), or its
+// clock-free form through the Handle's own pair, which reads no clock on a
+// nil handle:
 //
-// The analyzer considers a timer "owned by the profiler" when some
-// time.Since(start) result reaches a profiler.Handle Add or Timed call,
-// directly or through one intermediate variable. For each such timer whose
+//	start := prof.Start()
+//	... work ...
+//	prof.AddSince(profiler.CatX, start)  // or start.Add(excludedWait)
+//
+// with profiler.Since(start) standing in for time.Since where the elapsed
+// time feeds several Add calls. If an early error return skips the stop,
+// that category silently under-reports exactly when something interesting
+// happened — the flush that failed is the flush you wanted attributed.
+//
+// The analyzer considers a timer "owned by the profiler" when it is stopped
+// by an AddSince that mentions it, or when some time.Since/profiler.Since
+// result reaches a profiler.Handle Add or Timed call, directly or through
+// one intermediate variable. For each such timer whose
 // start is unconditional (not nested in an if/for/switch/select), it walks
 // the function's control-flow graph from the start: reaching any return
 // statement without passing a time.Since(start) is reported. A deferred
@@ -58,11 +67,12 @@ func runProfTimer(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// timer is one candidate start := time.Now() in a function body.
+// timer is one candidate start := time.Now() (or Handle.Start()) in a
+// function body.
 type timer struct {
 	obj   types.Object    // the start variable
 	start *ast.AssignStmt // the statement that starts it
-	since []*ast.CallExpr // every time.Since(start) in the body
+	since []*ast.CallExpr // every stop: Since(start), or AddSince(c, ...start...)
 }
 
 func checkTimerFunc(pass *analysis.Pass, idx *directiveIndex, parents map[ast.Node]ast.Node, fnNode ast.Node, body *ast.BlockStmt) {
@@ -96,10 +106,12 @@ func checkTimerFunc(pass *analysis.Pass, idx *directiveIndex, parents map[ast.No
 	}
 }
 
-// collectTimers finds `v := time.Now()` starts and `time.Since(v)` stops in
-// body. Starts nested in an inner function literal belong to that literal's
-// own scope and are skipped here; stops are collected from anywhere in the
-// body (a closure stopping an outer timer still counts as a stop).
+// collectTimers finds `v := time.Now()` and `v := h.Start()` starts and
+// their `time.Since(v)`, `profiler.Since(v)` and `h.AddSince(c, ...v...)`
+// stops in body. Starts nested in an inner function literal belong to that
+// literal's own scope and are skipped here; stops are collected from
+// anywhere in the body (a closure stopping an outer timer still counts as a
+// stop).
 func collectTimers(pass *analysis.Pass, fnNode ast.Node, body *ast.BlockStmt) []*timer {
 	byObj := make(map[types.Object]*timer)
 	var order []*timer
@@ -113,7 +125,7 @@ func collectTimers(pass *analysis.Pass, fnNode ast.Node, body *ast.BlockStmt) []
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isTimeCall(pass, call, "Now") {
+		if !ok || !(isTimeCall(pass, call, "Now") || isProfilerCall(pass, call, "Start")) {
 			return true
 		}
 		obj := pass.TypesInfo.ObjectOf(id)
@@ -127,15 +139,33 @@ func collectTimers(pass *analysis.Pass, fnNode ast.Node, body *ast.BlockStmt) []
 	})
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isTimeCall(pass, call, "Since") || len(call.Args) != 1 {
-			return true
-		}
-		id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 		if !ok {
 			return true
 		}
-		if t := byObj[pass.TypesInfo.ObjectOf(id)]; t != nil {
-			t.since = append(t.since, call)
+		switch {
+		case (isTimeCall(pass, call, "Since") || isProfilerCall(pass, call, "Since")) && len(call.Args) == 1:
+			id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if t := byObj[pass.TypesInfo.ObjectOf(id)]; t != nil {
+				t.since = append(t.since, call)
+			}
+		case isProfilerCall(pass, call, "AddSince") && len(call.Args) == 2:
+			// The start may be shifted past an excluded wait:
+			// AddSince(c, start.Add(wait)) still stops start.
+			seen := make(map[*timer]bool)
+			ast.Inspect(call.Args[1], func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				if t := byObj[pass.TypesInfo.ObjectOf(id)]; t != nil && !seen[t] {
+					seen[t] = true
+					t.since = append(t.since, call)
+				}
+				return true
+			})
 		}
 		return true
 	})
@@ -180,7 +210,8 @@ func feedsProfiler(pass *analysis.Pass, parents map[ast.Node]ast.Node, t *timer)
 }
 
 // enclosingProfilerCall climbs from n and returns a profiler.Handle
-// Add/Timed call whose argument list contains n, or nil.
+// Add/AddSince/Timed call that is n or whose argument list contains n, or
+// nil.
 func enclosingProfilerCall(pass *analysis.Pass, parents map[ast.Node]ast.Node, n ast.Node) *ast.CallExpr {
 	for cur := n; cur != nil; cur = parents[cur] {
 		call, ok := cur.(*ast.CallExpr)
@@ -191,7 +222,7 @@ func enclosingProfilerCall(pass *analysis.Pass, parents map[ast.Node]ast.Node, n
 		if !ok {
 			continue
 		}
-		if (fn.Name() == "Add" || fn.Name() == "Timed") && fromPkg(fn.Pkg(), "profiler") {
+		if (fn.Name() == "Add" || fn.Name() == "AddSince" || fn.Name() == "Timed") && fromPkg(fn.Pkg(), "profiler") {
 			return call
 		}
 	}
@@ -296,6 +327,13 @@ func leakyReturns(g *cfg.CFG, t *timer) []*ast.ReturnStmt {
 func isTimeCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
 	fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
 	return ok && fn.Name() == name && isStdPkg(fn.Pkg(), "time")
+}
+
+// isProfilerCall reports whether call is the profiler package's function or
+// method <name>.
+func isProfilerCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
+	fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
+	return ok && fn.Name() == name && fromPkg(fn.Pkg(), "profiler")
 }
 
 // mayReturn is the CFG builder's intraprocedural "can this call return"

@@ -106,3 +106,48 @@ func suppressed(prof *profiler.Handle) error {
 	prof.Add(profiler.CatWork, time.Since(start))
 	return nil
 }
+
+// leakyHandleClock is leakyFlush through the handle's clock-free pair: the
+// error return skips the AddSince.
+func leakyHandleClock(prof *profiler.Handle) error {
+	flushStart := prof.Start()
+	if err := work(); err != nil {
+		return err // want `return without stopping profiler timing "flushStart"`
+	}
+	prof.AddSince(profiler.CatLogFlush, flushStart)
+	return nil
+}
+
+// coveredHandleClock stops the handle timer on both paths, once with a wait
+// excluded by shifting the start.
+func coveredHandleClock(prof *profiler.Handle, wait time.Duration) error {
+	start := prof.Start()
+	if err := work(); err != nil {
+		prof.AddSince(profiler.CatWork, start)
+		return err
+	}
+	prof.AddSince(profiler.CatWork, start.Add(wait))
+	return nil
+}
+
+// leakyExcludedWait leaks a handle timer whose stop excludes a wait.
+func leakyExcludedWait(prof *profiler.Handle, wait time.Duration) error {
+	start := prof.Start()
+	if err := work(); err != nil {
+		return err // want `return without stopping profiler timing "start"`
+	}
+	prof.AddSince(profiler.CatWork, start.Add(wait))
+	return nil
+}
+
+// leakyProfilerSince splits a handle timer through profiler.Since and an
+// intermediate, and still leaks it on the early return.
+func leakyProfilerSince(prof *profiler.Handle) error {
+	start := prof.Start()
+	if err := work(); err != nil {
+		return err // want `return without stopping profiler timing "start"`
+	}
+	wall := profiler.Since(start)
+	prof.Add(profiler.CatWork, wall)
+	return nil
+}
